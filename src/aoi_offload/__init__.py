@@ -5,7 +5,8 @@ a geometric-rate local server or offloaded (at a price) to an edge cloud
 that finishes in one slot.  This package evaluates the standard policy
 families in closed form, exactly on their induced Markov chains, and by
 seeded simulation, and solves for the average-cost optimal policy by
-relative value iteration together with checks of its threshold structure.
+policy iteration on the delivery-age chain together with checks of its
+threshold structure.
 """
 
 from .core import LOCAL, OFFLOAD, RESET, ModelParams, State, Transition, cost, transitions

@@ -1,17 +1,32 @@
-"""Exact policy evaluation on the induced (age, service) Markov chain.
+"""Exact policy evaluation on the delivery-age renewal chain.
 
-Fixing a stationary deterministic policy turns the controlled kernel into a
-plain Markov chain over the states reachable from ``(1, 0)``.  Solving its
-stationary distribution gives the long-run average age ``delta = E[a] + 1/2``
-and the edge-use frequency ``p_bar`` (total stationary mass on states where
-the policy offloads) without any sampling error, which makes this module the
-reference evaluator for every policy family in the package.
+Every trajectory from ``(1, 0)`` is a sequence of delivery cycles.  A cycle
+starts in state ``(d, 0)`` right after an update of age ``d`` is delivered,
+and its slots visit ``(d + j, j)`` for ``j = 0, 1, ...`` until the local
+server finishes (delivering age ``j + 1``) or the policy aborts and offloads
+(delivering age 1).  On those states a deterministic policy is just an abort
+index ``k_d``: work locally for at most ``k_d`` slots, then offload.  The age
+ceiling caps it at ``a_max - d``, where the offload is forced.
+
+The abort indices define a Markov chain on ``d`` with ``a_max`` states: from
+``d`` it moves to ``j + 1`` with probability ``mu (1 - mu)**j`` for
+``j < k_d``, and to 1 with probability ``(1 - mu)**k_d``.  One dense
+stationary solve of that chain, lifted to the states of the full chain,
+gives the long-run average age ``delta = E[a] + 1/2`` and the edge-use
+frequency ``p_bar`` exactly.  This makes the module the reference evaluator
+for every policy family.
 
 All built-in policies are threshold-form: per service column ``z`` they
 store the least age at which they offload.  That single representation
 covers never-offload (threshold ``NEVER_OFFLOAD``), always-offload
 (threshold 1), age thresholds, service thresholds (offload at every
 occurring age once ``z >= z_star``) and the solver's optimal tables.
+
+``build_chain`` expands a policy into the full ``(a, z)`` chain from the
+one-slot kernel, independently of the abort indices.  The evaluator uses it
+to lift its solution and to check the balance equations of the full chain;
+``stationary`` solves that chain directly and is the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -35,6 +50,9 @@ __all__ = [
     "local_only_policy",
     "mec_only_policy",
     "threshold_table_policy",
+    "abort_indices",
+    "occurring_ages",
+    "delivery_matrix",
     "ChainModel",
     "build_chain",
     "StationaryDistribution",
@@ -121,6 +139,53 @@ def mec_only_policy() -> Policy:
 
 def threshold_table_policy(table, name: str | None = None) -> Policy:
     return Policy(name=name or "threshold_table", thresholds=tuple(int(t) for t in table))
+
+
+def abort_indices(policy: Policy, a_max: int) -> np.ndarray:
+    """Abort index ``k_d`` of ``policy`` for ``d = 1..a_max`` (entry ``d - 1``).
+
+    ``k_d`` is the least ``j`` at which the policy offloads in state
+    ``(d + j, j)``, capped at ``a_max - d`` where the ceiling forces it.
+    """
+    d = np.arange(1, a_max + 1)
+    cap = a_max - d
+    if policy.thresholds is None:
+        k = cap.copy()
+        for i in range(a_max):
+            k[i] = next((j for j in range(cap[i]) if policy.action(i + 1 + j, j)), cap[i])
+        return k
+    table = np.asarray(policy.thresholds, dtype=np.int64)
+    z = np.arange(a_max)
+    # (d + z, z) offloads iff d >= t_z - z; the running minimum of t_z - z is
+    # the least delivered age whose cycle has offloaded by slot z
+    least_age = np.minimum.accumulate(table[np.minimum(z, table.size - 1)] - z)
+    return np.minimum(np.searchsorted(-least_age, -d), cap)
+
+
+def occurring_ages(k: np.ndarray) -> int:
+    """Number ``r`` of delivery ages that occur from ``(1, 0)`` under the
+    abort indices ``k``.
+
+    Deliveries from ``d`` have ages ``1..k_d``, so the occurring ages are
+    ``1..r`` for the least ``r`` with ``k_d <= r`` at every ``d <= r``.  Two
+    policies with equal ``k[:r]`` act alike on every occurring state.
+    """
+    return int(np.argmax(np.maximum.accumulate(k) <= np.arange(1, k.size + 1))) + 1
+
+
+def delivery_matrix(k: np.ndarray, mu: float) -> np.ndarray:
+    """Transition matrix ``[d - 1, d' - 1]`` of the delivery-age chain on the
+    ages ``1..k.size``, whose abort indices ``k`` are at most ``k.size``.
+
+    Slot ``j`` of a cycle is reached with probability ``(1 - mu)**j``; it
+    delivers age ``j + 1`` with probability ``mu`` if ``j < k_d`` and is the
+    offload slot, delivering age 1, if ``j == k_d``.
+    """
+    j = np.arange(k.size)
+    w = (1.0 - mu) ** np.arange(k.size + 1)
+    trans = np.where(j[None, :] < k[:, None], mu * w[None, :-1], 0.0)
+    trans[:, 0] += w[k]
+    return trans
 
 
 @dataclass
@@ -286,12 +351,31 @@ def stationary(
                                   residual=res, method=used, iterations=iterations)
 
 
-def evaluate_exact(policy: Policy, params: ModelParams, method: str = "auto") -> EvalResult:
-    """Average age, edge-use frequency and cost of ``policy``, solved exactly."""
+def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
+    """Average age, edge-use frequency and cost of ``policy``, solved exactly.
+
+    The delivery-age chain is solved on the occurring ages only, so policies
+    that act alike on every occurring state give bitwise equal results.  Its
+    stationary vector ``nu`` lifts to the full chain of ``build_chain``:
+    state ``(d + j, j)`` has mass proportional to ``nu_d (1 - mu)**j``.  The
+    lifted vector must pass the same balance check as ``stationary``, which
+    certifies the reduction on every call.
+    """
+    k = abort_indices(policy, params.a_max)
+    r = occurring_ages(k)
+    balance = delivery_matrix(k[:r], params.mu).T - np.eye(r)
+    balance[0, :] = 1.0  # one balance equation replaced by the normalisation
+    rhs = np.zeros(r)
+    rhs[0] = 1.0
+    nu = np.linalg.solve(balance, rhs)
     chain = build_chain(policy, params)
-    dist = stationary(chain, method=method)
-    ages = np.fromiter((s.a for s in chain.states), dtype=float, count=chain.n)
-    delta = float(ages @ dist.probs) + 0.5
-    p_bar = float(dist.probs[chain.actions == 1].sum())
-    p_bar = min(max(p_bar, 0.0), 1.0)
+    ages, service = np.array(chain.states).reshape(-1, 2).T
+    pi = nu[ages - service - 1] * (1.0 - params.mu) ** service
+    pi /= pi.sum()
+    res = _residual(chain.matrix, pi)
+    if res > 1e-10:
+        raise StationarySolveError(
+            f"delivery-age solution failed the balance check: residual {res:.3e}", residual=res)
+    delta = float(ages @ pi) + 0.5
+    p_bar = min(max(float(pi[chain.actions == 1].sum()), 0.0), 1.0)
     return EvalResult(delta=delta, p_bar=p_bar, g=delta + params.lam * p_bar)

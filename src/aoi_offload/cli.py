@@ -98,6 +98,14 @@ def _resolve_a_max(args) -> int:
     return args.a_max if args.a_max is not None else default_a_max(args.mu)
 
 
+def _model_params(args, parser) -> ModelParams:
+    """The model flags as ``ModelParams``; invalid values exit with code 2."""
+    try:
+        return ModelParams(mu=args.mu, lam=args.lam, beta=args.beta, a_max=_resolve_a_max(args))
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _emit(text: str, out: str | None) -> int:
     if out is None:
         sys.stdout.write(text)
@@ -120,14 +128,17 @@ def _build_policy(family: str, args, parser, a_max: int):
         return local_only_policy(), 0.0
     if family == "mec_only":
         return mec_only_policy(), 0.0
-    if family == "age_threshold":
-        if args.astar is None:
-            parser.error("age_threshold requires --astar")
-        return age_threshold_policy(args.astar, a_max), float(args.astar)
-    if family == "service_threshold":
-        if args.zstar is None:
-            parser.error("service_threshold requires --zstar >= 0")
-        return service_threshold_policy(args.zstar), float(args.zstar)
+    try:
+        if family == "age_threshold":
+            if args.astar is None:
+                parser.error("age_threshold requires --astar")
+            return age_threshold_policy(args.astar, a_max), float(args.astar)
+        if family == "service_threshold":
+            if args.zstar is None:
+                parser.error("service_threshold requires --zstar >= 0")
+            return service_threshold_policy(args.zstar), float(args.zstar)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = rvi_solve(ModelParams(mu=args.mu, lam=args.lam, a_max=a_max))
     return report.policy, float(args.lam)
 
@@ -217,7 +228,10 @@ def _cmd_frontier(args, parser) -> int:
         parser.error("need 0 < lambda-min < lambda-max and lambda-count >= 1")
     a_max = _resolve_a_max(args)
     lambdas = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
-    points = frontier_points(args.mu, a_stars, z_stars, lambdas, a_max)
+    try:
+        points = frontier_points(args.mu, a_stars, z_stars, lambdas, a_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.fmt == "csv":
         text = _render_csv(points)
     else:
@@ -226,13 +240,12 @@ def _cmd_frontier(args, parser) -> int:
 
 
 def _cmd_rvi(args, parser) -> int:
-    a_max = _resolve_a_max(args)
-    report = rvi_solve(ModelParams(mu=args.mu, lam=args.lam, a_max=a_max),
-                       tol=args.tol, max_iters=args.max_iters)
+    params = _model_params(args, parser)
+    report = rvi_solve(params, tol=args.tol, max_iters=args.max_iters)
     payload = {
         "mu": args.mu,
         "lambda": args.lam,
-        "a_max": a_max,
+        "a_max": params.a_max,
         "g": report.g,
         "iterations": report.iterations,
         "span_residual": report.span_residual,
@@ -247,9 +260,8 @@ def _cmd_rvi(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    a_max = _resolve_a_max(args)
-    params = ModelParams(mu=args.mu, lam=args.lam, a_max=a_max)
-    policy, param = _build_policy(args.family, args, parser, a_max)
+    params = _model_params(args, parser)
+    policy, param = _build_policy(args.family, args, parser, params.a_max)
     try:
         cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup,
                         batches=args.batches)
@@ -270,9 +282,8 @@ def _cmd_simulate(args, parser) -> int:
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
-def _verify_checks(args) -> dict:
-    a_max = _resolve_a_max(args)
-    params = ModelParams(mu=args.mu, lam=args.lam, beta=args.beta, a_max=a_max)
+def _verify_checks(args, params: ModelParams) -> dict:
+    a_max = params.a_max
     report = rvi_solve(params)
     iterates = discounted_vi(params, args.vi_iters)
     if args.inject_corruption:
@@ -326,7 +337,7 @@ def _verify_checks(args) -> dict:
 
 
 def _cmd_verify(args, parser) -> int:
-    payload = _verify_checks(args)
+    payload = _verify_checks(args, _model_params(args, parser))
     code = _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if code:
         return code
@@ -402,8 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rvi = subs.add_parser("rvi", help="solve for the optimal policy")
     _add_model_flags(p_rvi)
-    p_rvi.add_argument("--tol", type=float, default=1e-10, help="span stopping tolerance")
-    p_rvi.add_argument("--max-iters", type=int, default=100_000)
+    p_rvi.add_argument("--tol", type=float, default=1e-10,
+                       help="relative value decrease a policy-iteration step needs to change an "
+                            "abort index")
+    p_rvi.add_argument("--max-iters", type=int, default=100_000,
+                       help="budget of policy-improvement steps")
     p_rvi.set_defaults(func=_cmd_rvi)
 
     return parser

@@ -3,7 +3,7 @@
 Values live on a dense ``(a_max, a_max)`` grid indexed ``[a - 1, z]``.  The
 grid deliberately covers every column at every row: entries with
 ``z >= a`` cannot occur on a trajectory from ``(1, 0)``, but their values
-are well defined, they keep the sweeps branch-free, and occurring states
+are well defined, they keep the backups branch-free, and occurring states
 never read them (a slot from an occurring state lands on an occurring
 state).  Covering the full rectangle also makes the per-column offload
 thresholds meaningful all the way down to age 1.
@@ -14,11 +14,16 @@ would leave the grid.  Both rules only touch states an optimal policy keeps
 away from when ``a_max`` is generous, which the truncation-stability check
 quantifies.
 
-The solver is synchronous relative value iteration: sweep the one-slot
-optimality backup, re-anchor the table at the reference state ``(1, 0)``,
-and stop once the span (max minus min) of successive table differences
-falls below tolerance.  The average cost is read off the final difference
-through its span bounds.
+The solver is semi-Markov policy iteration (Puterman 1994, ch. 11) on the
+delivery-age chain of ``chain``: a policy is one abort index per delivered
+age, each evaluation is one dense solve of size ``a_max`` for the average
+cost ``g`` and the relative values ``h(d)`` of the delivery states
+``(d, 0)``, and each improvement picks the best abort index per age from
+prefix sums.  The full value grid is then rebuilt from ``g`` and ``h`` by
+one backward row sweep of the optimality equation, so the greedy actions,
+thresholds and Bellman residual read off it exactly as from a value
+iteration fixed point.  The name ``rvi_solve`` is kept from the relative
+value iteration this replaced.
 """
 
 from __future__ import annotations
@@ -29,14 +34,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ModelParams, State
-from .chain import Policy, evaluate_exact, threshold_table_policy
-
-try:  # pragma: no cover - exercised implicitly when numba is installed
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+from .chain import (
+    Policy,
+    abort_indices,
+    delivery_matrix,
+    evaluate_exact,
+    occurring_ages,
+    threshold_table_policy,
+)
 
 __all__ = [
     "ValueTable",
@@ -116,48 +121,6 @@ def _backup(v: np.ndarray, p: ModelParams, beta: float) -> np.ndarray:
     return out
 
 
-def _sweep_with_bounds(v, out, comp, mu, lam):
-    """Average-cost backup into ``out`` returning (min, max) of ``out - v``."""
-    n = v.shape[0]
-    mubar = 1.0 - mu
-    v00 = v[0, 0]
-    lo = np.inf
-    hi = -np.inf
-    for i in range(n):
-        off = i + 1.5 + lam + v00
-        if i < n - 1:
-            for j in range(n - 1):
-                loc = i + 1.5 + mu * comp[j] + mubar * v[i + 1, j + 1]
-                val = loc if loc < off else off
-                d = val - v[i, j]
-                out[i, j] = val
-                if d < lo:
-                    lo = d
-                if d > hi:
-                    hi = d
-            d = off - v[i, n - 1]
-            out[i, n - 1] = off
-            if d < lo:
-                lo = d
-            if d > hi:
-                hi = d
-        else:
-            for j in range(n):
-                d = off - v[i, j]
-                out[i, j] = off
-                if d < lo:
-                    lo = d
-                if d > hi:
-                    hi = d
-    return lo, hi
-
-
-if _HAVE_NUMBA:
-    _sweep_with_bounds_fast = _njit(cache=True, nogil=True)(_sweep_with_bounds)
-else:  # pragma: no cover
-    _sweep_with_bounds_fast = None
-
-
 def _greedy_actions(v: np.ndarray, p: ModelParams) -> np.ndarray:
     """Offload exactly where it is strictly cheaper; ties keep the work local.
     The age ceiling row and the top service column are forced offloads."""
@@ -189,51 +152,96 @@ def _trim_thresholds(full: np.ndarray) -> dict[int, int]:
     return out
 
 
+def _abort_from_grid(u: np.ndarray) -> np.ndarray:
+    """Abort indices of an action grid: the first offload on each diagonal
+    ``(d + j, j)``; the ceiling row offloads everywhere."""
+    a_max = u.shape[0]
+    z = np.arange(a_max)
+    rows = np.minimum(z[:, None] + z[None, :], a_max - 1)
+    return u[rows, z[None, :]].argmax(axis=1)
+
+
+def _evaluate(k: np.ndarray, params: ModelParams, w, slots, lags):
+    """Average cost ``g`` and relative values ``h`` (``h[d - 1]``, with
+    ``h[0] = 0``) of the abort indices ``k`` on the delivery-age chain."""
+    a_max = params.a_max
+    cost = (np.arange(1, a_max + 1) + 0.5) * slots[k] + lags[k] + params.lam * w[k]
+    # h_d + g * slots_d - sum_e P[d, e] h_e = cost_d; with h_1 = 0 pinned,
+    # the first column carries g instead
+    m = np.eye(a_max) - delivery_matrix(k, params.mu)
+    m[:, 0] = slots[k]
+    x = np.linalg.solve(m, cost)
+    g = float(x[0])
+    x[0] = 0.0
+    return g, x
+
+
+def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Value grid from ``g`` and the delivery-state values ``h``, one
+    backward row sweep of the optimality equation anchored at ``v[0, 0]``."""
+    a_max = params.a_max
+    base = _base_ages(a_max) - g
+    offload = base + params.lam
+    comp = params.mu * h[: a_max - 1]
+    v = np.empty((a_max, a_max))
+    v[:, -1] = offload
+    v[-1, :] = offload[-1]
+    for i in range(a_max - 2, -1, -1):
+        local = base[i] + comp + (1.0 - params.mu) * v[i + 1, 1:]
+        np.minimum(local, offload[i], out=v[i, :-1])
+    return v - v[0, 0]
+
+
 def rvi_solve(
     params: ModelParams,
     tol: float = 1e-10,
     max_iters: int = 100_000,
     v_init: np.ndarray | None = None,
 ) -> SolveReport:
-    """Relative value iteration on the truncated grid.
+    """Optimal policy by policy iteration on the delivery-age chain.
 
-    Stops when the span of successive table differences is at most ``tol``;
-    the average cost is the midpoint of the final difference's span bounds.
-    ``v_init`` warm-starts the table (the fixed point does not depend on it),
-    which speeds up parameter sweeps considerably.
+    Starts from the greedy policy on ``v_init`` (all zeros when omitted,
+    which is the local-only policy), and alternates exact evaluation with
+    improvement over every abort index ``k <= a_max - d`` per delivered age
+    ``d``.  An age keeps its abort index unless another lowers its value by
+    more than ``tol`` relative to the value's size, and the loop stops at
+    the first step that changes nothing.  ``iterations`` counts improvement
+    steps; ``span_residual`` is the span of one optimality backup of the
+    rebuilt grid minus the grid, which is zero at an exact solution.
     """
     a_max = params.a_max
     if v_init is None:
-        v = np.zeros((a_max, a_max))
-    else:
-        if v_init.shape != (a_max, a_max):
-            raise ValueError(f"v_init shape {v_init.shape} does not match grid {(a_max, a_max)}")
-        v = np.ascontiguousarray(v_init - v_init[0, 0])
+        v_init = np.zeros((a_max, a_max))
+    elif v_init.shape != (a_max, a_max):
+        raise ValueError(f"v_init shape {v_init.shape} does not match grid {(a_max, a_max)}")
+    k = _abort_from_grid(_greedy_actions(v_init, params))
+    rows = np.arange(a_max)
+    # slot j of a delivery cycle is reached with probability w_j; a cycle
+    # aborted after k slots lasts slots[k] and accrues d * slots[k] + lags[k]
+    w = (1.0 - params.mu) ** rows
+    slots, lags = np.cumsum(w), np.cumsum(rows * w)
+    # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k slots
+    # and every later cycle follows the evaluated policy
+    q_age = (rows + 1.5)[:, None] * slots[None, :]
+    q_age[rows[None, :] > a_max - 1 - rows[:, None]] = np.inf
+    q_cycle = lags + params.lam * w
+    g, h = _evaluate(k, params, w, slots, lags)
     converged = False
-    lo = hi = 0.0
     iterations = 0
-    if _sweep_with_bounds_fast is not None:
-        out = np.empty_like(v)
-        comp = np.empty(a_max)
-        for iterations in range(1, max_iters + 1):
-            comp[:] = v[:, 0]
-            lo, hi = _sweep_with_bounds_fast(v, out, comp, params.mu, params.lam)
-            out -= out[0, 0]
-            v, out = out, v
-            if hi - lo <= tol:
-                converged = True
-                break
-    else:  # pragma: no cover - pure-numpy fallback, same arithmetic
-        for iterations in range(1, max_iters + 1):
-            t = _backup(v, params, 1.0)
-            diff = t - v
-            lo = float(diff.min())
-            hi = float(diff.max())
-            v = t - t[0, 0]
-            if hi - lo <= tol:
-                converged = True
-                break
-    g = 0.5 * (lo + hi)
+    while iterations < max_iters:
+        iterations += 1
+        future = np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1]))
+        q = q_age - g * slots[None, :] + (q_cycle + future)[None, :]
+        best = q.argmin(axis=1)
+        current = q[rows, k]
+        better = q[rows, best] < current - tol * (1.0 + np.abs(current))
+        if not better.any():
+            converged = True
+            break
+        k = np.where(better, best, k)
+        g, h = _evaluate(k, params, w, slots, lags)
+    v = _rebuild_grid(g, h, params)
+    diff = _backup(v, params, 1.0) - v
     u = _greedy_actions(v, params)
     thresholds, exact = _thresholds_from_actions(u)
     full = tuple(int(t) for t in thresholds)
@@ -245,7 +253,7 @@ def rvi_solve(
         g=g,
         thresholds=_trim_thresholds(thresholds),
         iterations=iterations,
-        span_residual=hi - lo,
+        span_residual=float(diff.max() - diff.min()),
         converged=converged,
         values=ValueTable(v),
         action_grid=u,
@@ -411,7 +419,7 @@ def expand_value_grid(grid: np.ndarray, new_a_max: int) -> np.ndarray:
     In the region the extension covers every state offloads, where the
     relative values grow with slope exactly one per age unit and are flat in
     the service columns, so the extension is essentially the larger fixed
-    point already and makes a warm start that converges in few sweeps.
+    point already and makes a warm start that converges in few steps.
     """
     old = grid.shape[0]
     if new_a_max < old:
@@ -477,10 +485,10 @@ def brute_force_best_threshold(
 ) -> SolveReport:
     """Exhaustive search over threshold tables with entries in [1, bound].
 
-    Every table is evaluated exactly on its induced chain, which makes this
-    a solver-independent oracle for the optimal policy class.  The candidate
-    count grows quickly with the bound, so oversized searches are rejected
-    up front with the count.
+    Every table is evaluated exactly on its delivery-age chain, which makes
+    this a solver-independent oracle for the optimal policy class.  The
+    candidate count grows quickly with the bound, so oversized searches are
+    rejected up front with the count.
     """
     if int(search_bound) != search_bound or search_bound < 1:
         raise ValueError(f"search_bound must be an integer >= 1, got {search_bound}")
@@ -494,15 +502,22 @@ def brute_force_best_threshold(
         )
     best_g = np.inf
     best_tab: tuple[int, ...] | None = None
-    best_eval = None
     n_evaluated = 0
+    # tables that share their abort indices on the occurring delivery ages act
+    # alike on every occurring state, so each such index vector is evaluated
+    # once; its result is bitwise that of every table sharing it
+    seen: dict[bytes, float] = {}
     for tab in _canonical_tables(int(search_bound)):
-        res = evaluate_exact(threshold_table_policy(tab), params, method="direct")
+        policy = threshold_table_policy(tab)
+        k = abort_indices(policy, params.a_max)
+        key = k[: occurring_ages(k)].tobytes()
+        g = seen.get(key)
+        if g is None:
+            g = seen[key] = evaluate_exact(policy, params).g
         n_evaluated += 1
-        if res.g < best_g:
-            best_g = res.g
+        if g < best_g:
+            best_g = g
             best_tab = tab
-            best_eval = res
     policy = threshold_table_policy(
         best_tab, name=f"brute_force(bound={search_bound}, mu={params.mu:g}, lam={params.lam:g})"
     )

@@ -34,13 +34,6 @@ import numpy as np
 from .chain import Policy
 from .core import ModelParams
 
-try:  # pragma: no cover - exercised implicitly when numba is installed
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 __all__ = [
     "SimConfig",
     "SimResult",
@@ -122,12 +115,6 @@ def _table_chunk(table, last, mu, a, z, slot0, draws, warmup, batch_size,
     return a, z
 
 
-if _HAVE_NUMBA:
-    _table_chunk_fast = _njit(cache=True, nogil=True)(_table_chunk)
-else:  # pragma: no cover
-    _table_chunk_fast = _table_chunk
-
-
 def _run_table(table: np.ndarray, mu: float, seed: int, total: int, warmup: int,
                batch_size: int, batches: int):
     age_sums = np.zeros(batches, dtype=np.int64)
@@ -138,8 +125,8 @@ def _run_table(table: np.ndarray, mu: float, seed: int, total: int, warmup: int,
     while pos < total:
         n = min(_CHUNK, total - pos)
         draws = uniforms(seed, pos, n)
-        a, z = _table_chunk_fast(table, last, mu, a, z, pos, draws, warmup,
-                                 batch_size, age_sums, mec_sums)
+        a, z = _table_chunk(table, last, mu, a, z, pos, draws, warmup,
+                            batch_size, age_sums, mec_sums)
         pos += n
     return age_sums, mec_sums
 
@@ -181,7 +168,7 @@ def batch_stderr(batch_means) -> float:
 def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResult:
     """Monte Carlo estimate of (delta, p_bar) with batch-means errors.
 
-    Threshold-form policies run on the compiled slot kernel; policies given
+    Threshold-form policies run on the table slot kernel; policies given
     as a bare action function take a slower path with identical semantics.
     """
     warmup = config.resolved_warmup()

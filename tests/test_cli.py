@@ -57,6 +57,12 @@ def test_eval_optimal_reports_lambda_as_param(capsys):
         ["eval", "--family", "local_only", "--mu", "0"],
         ["frontier", "--lambda-min", "-2", "--out", "x.csv"],
         ["nope"],
+        ["rvi", "--mu", "0"],
+        ["rvi", "--mu", "0.5", "--amax", "1"],
+        ["frontier", "--mu", "0"],
+        ["verify", "--mu", "1.5"],
+        ["simulate", "--family", "age_threshold", "--astar", "0"],
+        ["simulate", "--family", "service_threshold", "--zstar", "-1"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):
