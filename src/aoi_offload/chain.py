@@ -25,8 +25,8 @@ occurring age once ``z >= z_star``) and the solver's optimal tables.
 ``build_chain`` expands a policy into the full ``(a, z)`` chain from the
 one-slot kernel, independently of the abort indices.  The evaluator uses it
 to lift its solution and to check the balance equations of the full chain;
-``stationary`` solves that chain directly and is the reference the tests
-compare against.
+``stationary`` solves that chain directly, by one sparse LU solve, and is
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class Policy:
 
     Threshold-form policies store one age threshold per service column; the
     last entry applies to all larger ``z``.  Arbitrary rules can instead
-    supply ``action_fn``; those lose the fast simulation path and threshold
-    introspection but evaluate exactly the same way.
+    supply ``action_fn``; those lose threshold introspection but evaluate
+    and simulate exactly the same way, since the simulator reads every
+    policy through ``action``.
     """
 
     name: str
@@ -249,7 +250,11 @@ class StationarySolveError(RuntimeError):
 
 @dataclass
 class StationaryDistribution:
-    """Probability vector with its balance residual ``max |pi P - pi|``."""
+    """Probability vector with its balance residual ``max |pi P - pi|``.
+
+    ``method`` names the solve (always ``"direct"``) and ``iterations`` its
+    iteration count (always 0).
+    """
 
     states: list[State]
     probs: np.ndarray
@@ -268,87 +273,34 @@ class StationaryDistribution:
         return {s: float(p) for s, p in zip(self.states, self.probs)}
 
 
-def _residual(matrix: sp.csr_matrix, pi: np.ndarray) -> float:
-    return float(np.max(np.abs(pi @ matrix - pi)))
-
-
-def _solve_direct(matrix: sp.csr_matrix) -> np.ndarray:
-    n = matrix.shape[0]
-    if n == 1:
-        return np.ones(1)
-    b = np.zeros(n)
-    b[0] = 1.0  # one balance equation replaced by the normalization
-    if n <= 600:
-        a = matrix.toarray().T - np.eye(n)
-        a[0, :] = 1.0
-        pi = np.linalg.solve(a, b)
-    else:
-        a = (matrix.T - sp.identity(n, format="csr")).tolil()
-        a[0, :] = 1.0
-        pi = spla.spsolve(a.tocsr(), b)
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    return pi / pi.sum()
-
-
-def _solve_power(matrix: sp.csr_matrix, tol: float, max_iters: int):
-    n = matrix.shape[0]
-    pt = matrix.T.tocsr()
-    pi = np.full(n, 1.0 / n)
-    for it in range(1, max_iters + 1):
-        nxt = pt @ pi
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= tol:
-            return nxt, it, True
-        pi = nxt
-    return pi, max_iters, False
-
-
-def stationary(
-    chain: ChainModel,
-    method: str = "auto",
-    tol: float = 1e-12,
-    max_iters: int = 10**6,
-    residual_tol: float = 1e-10,
-) -> StationaryDistribution:
-    """Stationary distribution of the chain.
-
-    ``power`` iterates ``pi <- pi P`` until successive iterates differ by at
-    most ``tol`` in max norm; ``direct`` solves the balance equations
-    sparsely.  ``auto`` runs power iteration and falls back to the direct
-    solve when it fails to converge on chains small enough to factor
-    (< 5000 states).  Whatever the route, the result must satisfy the
-    balance residual bound or a ``StationarySolveError`` is raised.
-    """
-    if method not in ("auto", "power", "direct"):
-        raise ValueError(f"unknown stationary method {method!r}")
-    matrix = chain.matrix
-    n = chain.n
-    used = method
-    iterations = 0
-    if method == "direct" or n == 1:
-        pi = _solve_direct(matrix)
-        used = "direct"
-    else:
-        pi, iterations, converged = _solve_power(matrix, tol, max_iters)
-        used = "power"
-        if not converged:
-            if method == "auto" and n < 5000:
-                pi = _solve_direct(matrix)
-                used = "direct"
-            else:
-                raise StationarySolveError(
-                    f"power iteration did not converge within {max_iters} iterations "
-                    f"(residual {_residual(matrix, pi):.3e})",
-                    residual=_residual(matrix, pi),
-                )
-    res = _residual(matrix, pi)
-    if res > residual_tol or pi.min() < -1e-12 or abs(pi.sum() - 1.0) > 1e-10:
+def _check_balance(matrix: sp.csr_matrix, pi: np.ndarray) -> float:
+    """Balance residual ``max |pi P - pi|`` of the probability vector ``pi``;
+    raises ``StationarySolveError`` above 1e-10 or on a negative mass."""
+    res = float(np.max(np.abs(pi @ matrix - pi)))
+    if res > 1e-10 or pi.min() < -1e-12:
         raise StationarySolveError(
-            f"stationary solve ({used}) failed the balance check: residual {res:.3e}",
-            residual=res,
-        )
+            f"stationary vector failed the balance check: residual {res:.3e}", residual=res)
+    return res
+
+
+def stationary(chain: ChainModel) -> StationaryDistribution:
+    """Stationary distribution of the chain from one sparse LU solve of its
+    balance equations, one of them replaced by the normalisation.
+
+    The result must pass the balance check, or a ``StationarySolveError``
+    carrying the residual is raised.
+    """
+    n = chain.n
+    balance = (chain.matrix.T - sp.identity(n, format="csr")).tolil()
+    balance[0, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    pi = spla.spsolve(balance.tocsr(), rhs)
+    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
+    pi /= pi.sum()
+    res = _check_balance(chain.matrix, pi)
     return StationaryDistribution(states=chain.states, probs=np.maximum(pi, 0.0),
-                                  residual=res, method=used, iterations=iterations)
+                                  residual=res, method="direct")
 
 
 def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
@@ -372,10 +324,7 @@ def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
     ages, service = np.array(chain.states).reshape(-1, 2).T
     pi = nu[ages - service - 1] * (1.0 - params.mu) ** service
     pi /= pi.sum()
-    res = _residual(chain.matrix, pi)
-    if res > 1e-10:
-        raise StationarySolveError(
-            f"delivery-age solution failed the balance check: residual {res:.3e}", residual=res)
+    _check_balance(chain.matrix, pi)
     delta = float(ages @ pi) + 0.5
     p_bar = min(max(float(pi[chain.actions == 1].sum()), 0.0), 1.0)
     return EvalResult(delta=delta, p_bar=p_bar, g=delta + params.lam * p_bar)

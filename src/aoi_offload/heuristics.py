@@ -27,7 +27,6 @@ __all__ = [
     "mec_only",
     "service_moments",
     "service_threshold_eval",
-    "service_threshold_age_expanded",
 ]
 
 #: Beyond this threshold the results are indistinguishable from running the
@@ -130,23 +129,3 @@ def service_threshold_eval(mu: float, z_star: int, lam: float = 0.0) -> EvalResu
     else:
         p_bar = mu * mubar**z_star / (1.0 - mubar ** (z_star + 1))
     return EvalResult(delta=delta, p_bar=p_bar, g=delta + lam * p_bar)
-
-
-def service_threshold_age_expanded(mu: float, z_star: int) -> float:
-    """Average age of the abort policy as one fraction over the cycle length.
-
-    Algebraically identical to the moment form in ``service_threshold_eval``;
-    kept as an independent expansion for cross-checking.  Note the middle
-    numerator's ``z_star * q`` term carries a factor ``mu`` (dropping it is a
-    tempting transcription slip that breaks the identity).
-    """
-    _validate_mu(mu)
-    _validate_z_star(z_star)
-    mubar = 1.0 - mu
-    q = mubar**z_star
-    head = mu * z_star + mubar
-    denom = 2.0 * mu * (1.0 - mubar ** (z_star + 1))
-    t1 = 2.0 * (1.0 - q * head - mubar ** (z_star + 1) + mubar ** (2 * z_star + 1) * head)
-    t2 = mu**2 * q * (z_star + 1) + mu - mu * q * z_star - mu * q
-    t3 = 2.0 * mubar - mubar ** (z_star + 1) * (2.0 + z_star * mu)
-    return (t1 + t2 + t3) / denom

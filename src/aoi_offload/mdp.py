@@ -324,14 +324,18 @@ def _first_negative(arr: np.ndarray, tol: float) -> tuple[int, int] | None:
 
 
 def _actions_grid(policy: Policy, a_max: int) -> np.ndarray:
+    """Actions ``[a - 1, z]`` of ``policy`` in the truncated model, where the
+    ceiling row offloads whatever the policy says."""
     ages = np.arange(1, a_max + 1)
     if policy.thresholds is not None:
         thr = np.array([policy.threshold(z) for z in range(a_max)])
-        return ages[:, None] >= thr[None, :]
-    u = np.zeros((a_max, a_max), dtype=bool)
-    for i, a in enumerate(ages):
-        for z in range(a_max):
-            u[i, z] = bool(policy.action(int(a), z))
+        u = ages[:, None] >= thr[None, :]
+    else:
+        u = np.zeros((a_max, a_max), dtype=bool)
+        for i, a in enumerate(ages):
+            for z in range(a_max):
+                u[i, z] = bool(policy.action(int(a), z))
+    u[-1, :] = True
     return u
 
 
@@ -432,13 +436,7 @@ def expand_value_grid(grid: np.ndarray, new_a_max: int) -> np.ndarray:
     return out
 
 
-def sweep_lambdas(
-    mu: float,
-    lambdas,
-    a_max: int,
-    tol: float = 1e-10,
-    max_iters: int = 100_000,
-) -> list[tuple[float, SolveReport]]:
+def sweep_lambdas(mu: float, lambdas, a_max: int) -> list[tuple[float, SolveReport]]:
     """Solve the optimal policy for each price, cheapest first.
 
     Neighbouring prices have nearly identical value tables, so each solve
@@ -449,7 +447,7 @@ def sweep_lambdas(
     v = None
     for lam in sorted(float(x) for x in lambdas):
         params = ModelParams(mu=mu, lam=lam, a_max=a_max)
-        report = rvi_solve(params, tol=tol, max_iters=max_iters, v_init=v)
+        report = rvi_solve(params, v_init=v)
         v = report.values.grid
         out.append((lam, report))
     return out

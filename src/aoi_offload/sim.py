@@ -5,7 +5,8 @@ counts ``a`` toward the age total (the reported average adds the within-slot
 half) and the action toward the edge-use total, then advances: an offload
 lands in ``(1, 0)``, local work completes into ``(z + 1, 0)`` when the
 slot's uniform draw falls below ``mu`` and otherwise grows both counters.
-The trajectory starts at ``(1, 0)``.
+The trajectory starts at ``(1, 0)``.  Every policy, threshold table or
+action function alike, steps through this one loop via ``Policy.action``.
 
 Reproducibility contract: the slot-n uniform is a pure function of
 ``(seed, n)`` via splitmix64 in counter mode,
@@ -46,7 +47,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
-_CHUNK = 1 << 20
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,70 +94,6 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _table_chunk(table, last, mu, a, z, slot0, draws, warmup, batch_size,
-                 age_sums, mec_sums):
-    for k in range(draws.shape[0]):
-        n = slot0 + k
-        t = table[z] if z < last else table[last]
-        u = 1 if a >= t else 0
-        if n >= warmup:
-            b = (n - warmup) // batch_size
-            age_sums[b] += a
-            mec_sums[b] += u
-        if u == 1:
-            a = 1
-            z = 0
-        elif draws[k] < mu:
-            a = z + 1
-            z = 0
-        else:
-            a += 1
-            z += 1
-    return a, z
-
-
-def _run_table(table: np.ndarray, mu: float, seed: int, total: int, warmup: int,
-               batch_size: int, batches: int):
-    age_sums = np.zeros(batches, dtype=np.int64)
-    mec_sums = np.zeros(batches, dtype=np.int64)
-    a, z = 1, 0
-    last = len(table) - 1
-    pos = 0
-    while pos < total:
-        n = min(_CHUNK, total - pos)
-        draws = uniforms(seed, pos, n)
-        a, z = _table_chunk(table, last, mu, a, z, pos, draws, warmup,
-                            batch_size, age_sums, mec_sums)
-        pos += n
-    return age_sums, mec_sums
-
-
-def _run_callable(policy: Policy, mu: float, seed: int, total: int, warmup: int,
-                  batch_size: int, batches: int):
-    age_sums = np.zeros(batches, dtype=np.int64)
-    mec_sums = np.zeros(batches, dtype=np.int64)
-    a, z = 1, 0
-    pos = 0
-    while pos < total:
-        n = min(_CHUNK, total - pos)
-        draws = uniforms(seed, pos, n)
-        for k in range(n):
-            slot = pos + k
-            u = policy.action(a, z)
-            if slot >= warmup:
-                b = (slot - warmup) // batch_size
-                age_sums[b] += a
-                mec_sums[b] += u
-            if u == 1:
-                a, z = 1, 0
-            elif draws[k] < mu:
-                a, z = z + 1, 0
-            else:
-                a, z = a + 1, z + 1
-        pos += n
-    return age_sums, mec_sums
-
-
 def batch_stderr(batch_means) -> float:
     """Standard error of the mean from batch means (needs >= 10 batches)."""
     means = np.asarray(batch_means, dtype=float)
@@ -168,8 +105,10 @@ def batch_stderr(batch_means) -> float:
 def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResult:
     """Monte Carlo estimate of (delta, p_bar) with batch-means errors.
 
-    Threshold-form policies run on the table slot kernel; policies given
-    as a bare action function take a slower path with identical semantics.
+    Every policy steps through ``Policy.action``, one slot at a time, in
+    chunks of ``_CHUNK`` slots.  Each chunk records its slots' ages and
+    actions, then adds their post-warmup part to the batch totals with one
+    exact integer reduction (``np.add.reduceat``).
     """
     warmup = config.resolved_warmup()
     batch_size = (config.horizon - warmup) // config.batches
@@ -177,13 +116,32 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
         raise ValueError("horizon too short for the requested warmup and batches")
     counted = batch_size * config.batches
     total = warmup + counted
-    if policy.thresholds is not None:
-        table = np.asarray(policy.thresholds, dtype=np.int64)
-        age_sums, mec_sums = _run_table(table, params.mu, config.seed, total,
-                                        warmup, batch_size, config.batches)
-    else:
-        age_sums, mec_sums = _run_callable(policy, params.mu, config.seed, total,
-                                           warmup, batch_size, config.batches)
+    age_sums = np.zeros(config.batches, dtype=np.int64)
+    mec_sums = np.zeros(config.batches, dtype=np.int64)
+    action, mu = policy.action, params.mu
+    a, z = 1, 0
+    for pos in range(0, total, _CHUNK):
+        draws = uniforms(config.seed, pos, min(_CHUNK, total - pos)).tolist()
+        ages = []
+        acts = []
+        for draw in draws:
+            u = action(a, z)
+            ages.append(a)
+            acts.append(u)
+            if u:
+                a, z = 1, 0
+            elif draw < mu:
+                a, z = z + 1, 0
+            else:
+                a, z = a + 1, z + 1
+        skip = max(warmup - pos, 0)  # warmup slots at the head of the chunk
+        if skip >= len(draws):
+            continue
+        first = pos + skip - warmup  # counted index of the first counted slot
+        lo, hi = first // batch_size, (pos + len(draws) - 1 - warmup) // batch_size
+        cuts = np.maximum(np.arange(lo, hi + 1) * batch_size - first, 0)
+        age_sums[lo : hi + 1] += np.add.reduceat(np.array(ages[skip:], dtype=np.int64), cuts)
+        mec_sums[lo : hi + 1] += np.add.reduceat(np.array(acts[skip:], dtype=np.int64), cuts)
     age_means = age_sums / batch_size
     mec_means = mec_sums / batch_size
     return SimResult(

@@ -7,9 +7,26 @@ from aoi_offload.heuristics import (
     local_only,
     mec_only,
     service_moments,
-    service_threshold_age_expanded,
     service_threshold_eval,
 )
+
+
+def service_threshold_age_expanded(mu, z_star):
+    """Average age of the abort policy as one fraction over the cycle length.
+
+    Algebraically identical to the moment form in ``service_threshold_eval``;
+    kept as an independent expansion for cross-checking.  Note the middle
+    numerator's ``z_star * q`` term carries a factor ``mu`` (dropping it is a
+    tempting transcription slip that breaks the identity).
+    """
+    mubar = 1.0 - mu
+    q = mubar**z_star
+    head = mu * z_star + mubar
+    denom = 2.0 * mu * (1.0 - mubar ** (z_star + 1))
+    t1 = 2.0 * (1.0 - q * head - mubar ** (z_star + 1) + mubar ** (2 * z_star + 1) * head)
+    t2 = mu**2 * q * (z_star + 1) + mu - mu * q * z_star - mu * q
+    t3 = 2.0 * mubar - mubar ** (z_star + 1) * (2.0 + z_star * mu)
+    return (t1 + t2 + t3) / denom
 
 
 def enumerated_moments(mu, z_star):

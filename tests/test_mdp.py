@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from aoi_offload.chain import evaluate_exact, local_only_policy, threshold_table_policy
+from aoi_offload.chain import (
+    age_threshold_policy,
+    evaluate_exact,
+    local_only_policy,
+    mec_only_policy,
+    service_threshold_policy,
+    threshold_table_policy,
+)
 from aoi_offload.core import ModelParams, State
 from aoi_offload.mdp import (
     bellman_residual,
@@ -80,6 +87,16 @@ def test_non_threshold_policy_is_caught():
     failed = {c.name for c in sr.failures()}
     assert "offload_upward_closed_in_age" in failed
     assert "policy_is_threshold_table" in failed
+
+
+@pytest.mark.parametrize("policy", [local_only_policy(), mec_only_policy(),
+                                    service_threshold_policy(3), age_threshold_policy(7, 20)],
+                         ids=lambda p: p.name)
+def test_threshold_families_pass_policy_structure_checks(policy):
+    # columns that offload only at the ceiling (never-offload thresholds) are
+    # threshold columns of the truncated model, not gaps
+    sr = verify_structure(discounted_vi(ModelParams(mu=0.5, lam=3.0, a_max=20), 5), policy)
+    assert sr.passed, sr.to_dict()
 
 
 def test_rvi_satisfies_optimality_equation():

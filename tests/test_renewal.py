@@ -25,7 +25,7 @@ A_MAX = 30
 def reference(policy, params):
     """(delta, p_bar) from a direct solve of the full (a, z) chain."""
     chain = build_chain(policy, params)
-    dist = stationary(chain, method="direct")
+    dist = stationary(chain)
     ages = np.array([s.a for s in chain.states], dtype=float)
     return float(ages @ dist.probs) + 0.5, float(dist.probs[chain.actions == 1].sum())
 

@@ -14,7 +14,7 @@ from aoi_offload.chain import (
 )
 from aoi_offload.core import ModelParams, State
 from aoi_offload.heuristics import local_only, service_threshold_eval
-from aoi_offload.sim import SimConfig, batch_stderr, simulate, uniforms
+from aoi_offload.sim import _CHUNK, SimConfig, SimResult, batch_stderr, simulate, uniforms
 
 
 def replay_states(policy, mu, seed, n):
@@ -106,6 +106,32 @@ def test_kernel_agrees_with_replay():
     assert res.slots == n
     assert res.delta_hat == ages / n + 0.5
     assert res.p_bar_hat == offloads / n
+
+
+@pytest.mark.parametrize("policy", [
+    threshold_table_policy((5, 3, 2)),
+    Policy(name="diagonal", action_fn=lambda a, z: a + 2 * z >= 9),
+], ids=lambda p: p.name)
+def test_batch_sums_match_replay(policy):
+    # warmup, batch size and chunk size align with none of each other, and
+    # the run spans four chunks
+    params = ModelParams(mu=0.4)
+    cfg = SimConfig(horizon=60_001, seed=5, warmup=5_003, batches=11)
+    size = (cfg.horizon - cfg.warmup) // cfg.batches
+    total = cfg.warmup + size * cfg.batches
+    assert total > 3 * _CHUNK and _CHUNK % size and cfg.warmup % size and cfg.warmup % _CHUNK
+    states = replay_states(policy, params.mu, cfg.seed, total)[cfg.warmup:]
+    age_sums = [sum(a for a, _ in states[b * size:(b + 1) * size]) for b in range(cfg.batches)]
+    mec_sums = [sum(policy.action(a, z) for a, z in states[b * size:(b + 1) * size])
+                for b in range(cfg.batches)]
+    expected = SimResult(
+        delta_hat=sum(age_sums) / (size * cfg.batches) + 0.5,
+        p_bar_hat=sum(mec_sums) / (size * cfg.batches),
+        stderr_delta=batch_stderr([s / size for s in age_sums]),
+        stderr_p=batch_stderr([s / size for s in mec_sums]),
+        slots=size * cfg.batches,
+    )
+    assert simulate(policy, params, cfg) == expected
 
 
 def test_batch_stderr_basics():
