@@ -6,7 +6,8 @@ and its slots visit ``(d + j, j)`` for ``j = 0, 1, ...`` until the local
 server finishes (delivering age ``j + 1``) or the policy aborts and offloads
 (delivering age 1).  On those states a deterministic policy is just an abort
 index ``k_d``: work locally for at most ``k_d`` slots, then offload.  The age
-ceiling caps it at ``a_max - d``, where the offload is forced.
+ceiling caps it at ``a_max - d``, where the offload is forced; the simulator,
+which has no ceiling, derives it at the ages and caps it needs.
 
 The abort indices define a Markov chain on ``d`` with ``a_max`` states: from
 ``d`` it moves to ``j + 1`` with probability ``mu (1 - mu)**j`` for
@@ -51,6 +52,7 @@ __all__ = [
     "mec_only_policy",
     "threshold_table_policy",
     "abort_indices",
+    "abort_indices_at",
     "occurring_ages",
     "delivery_matrix",
     "ChainModel",
@@ -72,8 +74,8 @@ class Policy:
     Threshold-form policies store one age threshold per service column; the
     last entry applies to all larger ``z``.  Arbitrary rules can instead
     supply ``action_fn``; those lose threshold introspection but evaluate
-    and simulate exactly the same way, since the simulator reads every
-    policy through ``action``.
+    and simulate exactly the same way, since the evaluator and the simulator
+    read every policy through its abort indices.
     """
 
     name: str
@@ -142,25 +144,36 @@ def threshold_table_policy(table, name: str | None = None) -> Policy:
     return Policy(name=name or "threshold_table", thresholds=tuple(int(t) for t in table))
 
 
-def abort_indices(policy: Policy, a_max: int) -> np.ndarray:
-    """Abort index ``k_d`` of ``policy`` for ``d = 1..a_max`` (entry ``d - 1``).
+def abort_indices_at(policy: Policy, ages, caps) -> np.ndarray:
+    """Abort index ``k_d`` of ``policy`` at each delivered age ``d`` in
+    ``ages``, capped at the matching entry of ``caps``.
 
     ``k_d`` is the least ``j`` at which the policy offloads in state
-    ``(d + j, j)``, capped at ``a_max - d`` where the ceiling forces it.
+    ``(d + j, j)``.  An ``action_fn`` policy is asked only about the states
+    ``j < cap`` of the given ages.
     """
-    d = np.arange(1, a_max + 1)
-    cap = a_max - d
+    ages = np.asarray(ages, dtype=np.int64)
     if policy.thresholds is None:
-        k = cap.copy()
-        for i in range(a_max):
-            k[i] = next((j for j in range(cap[i]) if policy.action(i + 1 + j, j)), cap[i])
-        return k
+        caps = np.broadcast_to(caps, ages.shape)
+        return np.array([next((j for j in range(c) if policy.action(d + j, j)), c)
+                         for d, c in zip(ages.tolist(), caps.tolist())], dtype=np.int64)
     table = np.asarray(policy.thresholds, dtype=np.int64)
-    z = np.arange(a_max)
     # (d + z, z) offloads iff d >= t_z - z; the running minimum of t_z - z is
-    # the least delivered age whose cycle has offloaded by slot z
-    least_age = np.minimum.accumulate(table[np.minimum(z, table.size - 1)] - z)
-    return np.minimum(np.searchsorted(-least_age, -d), cap)
+    # the least delivered age whose cycle has offloaded by slot z.  Past the
+    # table it is t_last - z, which reaches a smaller d at z = t_last - d.
+    least_age = np.minimum.accumulate(table - np.arange(table.size))
+    k = np.searchsorted(-least_age, -ages)
+    if least_age[-1] > 1:  # else every delivered age offloads within the table
+        beyond = ages < least_age[-1]
+        k[beyond] = table[-1] - ages[beyond]
+    return np.minimum(k, caps)
+
+
+def abort_indices(policy: Policy, a_max: int) -> np.ndarray:
+    """Abort index ``k_d`` of ``policy`` for ``d = 1..a_max`` (entry ``d - 1``),
+    capped at ``a_max - d`` where the ceiling forces the offload."""
+    d = np.arange(1, a_max + 1)
+    return abort_indices_at(policy, d, a_max - d)
 
 
 def occurring_ages(k: np.ndarray) -> int:

@@ -1,12 +1,22 @@
-"""Seeded slot-by-slot simulation of the offloading loop.
+"""Seeded simulation of the offloading loop, one success segment at a time.
 
-Each slot n the simulator reads the state ``(a, z)``, applies the policy,
-counts ``a`` toward the age total (the reported average adds the within-slot
-half) and the action toward the edge-use total, then advances: an offload
-lands in ``(1, 0)``, local work completes into ``(z + 1, 0)`` when the
-slot's uniform draw falls below ``mu`` and otherwise grows both counters.
-The trajectory starts at ``(1, 0)``.  Every policy, threshold table or
-action function alike, steps through this one loop via ``Policy.action``.
+The slot dynamics: in state ``(a, z)`` the policy acts; ``a`` counts toward
+the age total (the reported average adds the within-slot half) and the
+action toward the edge-use total.  An offload lands in ``(1, 0)``; local
+work completes into ``(z + 1, 0)`` when the slot's uniform draw falls below
+``mu`` and otherwise grows both counters.  The trajectory starts at
+``(1, 0)``, and there is no age ceiling: an age grows until a delivery or an
+offload, however long that takes.
+
+The kernel does not step slot by slot.  A slot whose draw is below ``mu``
+ends a delivery cycle whatever the action (it delivers under action 0 and
+offloads under action 1), so these success slots cut the run into segments
+that do not depend on the policy.  A segment starts from a delivered age
+``d``; its first cycle runs to the abort index ``k_d`` (from
+``chain.abort_indices_at``, the one policy representation), after which
+cycles from ``(1, 0)`` repeat with period ``k_1 + 1``.  Every slot's age
+and action inside a segment follow in closed form, and the delivered age
+that starts the next segment is a function of ``d`` and the segment length.
 
 Reproducibility contract: the slot-n uniform is a pure function of
 ``(seed, n)`` via splitmix64 in counter mode,
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Policy
+from .chain import Policy, abort_indices_at
 from .core import ModelParams
 
 __all__ = [
@@ -102,13 +112,102 @@ def batch_stderr(batch_means) -> float:
     return float(means.std(ddof=1) / math.sqrt(means.size))
 
 
+class _AbortIndices:
+    """Abort indices of ``policy`` at unbounded delivered ages, derived on
+    demand by ``abort_indices_at`` and memoised across chunks.
+
+    ``k[d]`` is ``k_d`` wherever ``k_d < known[d]``; otherwise both equal
+    ``known[d]``, the number of service slots of age ``d``'s cycle derived
+    so far, and ``k_d`` is only known not to be smaller.
+    """
+
+    def __init__(self, policy: Policy):
+        self.policy = policy
+        self.k = np.zeros(1, dtype=np.int64)  # entry 0 unused
+        self.known = np.zeros(1, dtype=np.int64)
+
+    def __call__(self, d: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """``k_d`` wherever it is below ``bound``, otherwise a value >= ``bound``."""
+        if d.max() >= self.k.size:
+            grow = max(2 * self.k.size, int(d.max()) + 1) - self.k.size
+            self.k = np.append(self.k, np.zeros(grow, dtype=np.int64))
+            self.known = np.append(self.known, np.zeros(grow, dtype=np.int64))
+        k, known = self.k[d], self.known[d]
+        short = (k == known) & (known < bound)
+        if short.any():
+            need = np.zeros(self.k.size, dtype=np.int64)
+            np.maximum.at(need, d[short], bound[short])
+            ages = np.flatnonzero(need)
+            caps = np.maximum(need[ages], 2 * self.known[ages])  # regrowth at most doubles
+            self.k[ages] = abort_indices_at(self.policy, ages, caps)
+            self.known[ages] = caps
+            k = self.k[d]
+        return k
+
+
+def _service_after(k, n, k1):
+    """Service slots of the open cycle after the first ``n`` slots that
+    follow a delivery with abort index ``k``, when none of them is a
+    success; the cycles after the first offload have period ``k1 + 1``.
+
+    If slot ``n`` is a success instead, the age it delivers is this count,
+    or 1 where the count is 0, since that slot offloaded.
+    """
+    return np.where(n <= k, n, (n - k - 1) % (k1 + 1))
+
+
+def _chunk(success: np.ndarray, aborts: _AbortIndices, d: int, z: int):
+    """Ages and actions of the slots of one chunk, whose success slots are
+    the true entries of ``success``, starting in the open cycle ``(d, z)``
+    (delivered age, service slots so far); also the open cycle it leaves."""
+    ends = np.append(np.flatnonzero(success) + 1, success.size)
+    length = np.diff(ends, prepend=0)
+    # slots of each segment's first cycle up to its end; the first segment
+    # continues the open cycle, z of whose slots came before the chunk
+    n = length.copy()
+    n[0] += z
+    k1 = aborts(np.ones(1, dtype=np.int64), n.max(keepdims=True))[0]
+    # delivered age at the start of each segment: guess that every segment
+    # ends in a delivery, then fix entries until nothing moves; round t makes
+    # the first t entries exact
+    ds = np.append(d, n[:-1])
+    todo = np.arange(1, ds.size)
+    while todo.size:
+        prev = todo - 1
+        n_prev = n[prev]
+        new = np.maximum(_service_after(aborts(ds[prev], n_prev), n_prev, k1), 1)
+        moved = new != ds[todo]
+        todo = todo[moved]
+        ds[todo] = new[moved]
+        todo += 1
+        todo = todo[todo < ds.size]
+    k = aborts(ds, n)
+    # t counts slots since each segment's first offload: t < 0 on its first
+    # cycle, whose offload slot is t = -1; later cycles are at phase j.  The
+    # age array is built in place to keep memory flat.
+    t = np.arange(success.size)
+    t -= np.repeat(ends - n + k + 1, length)
+    head = t < 0
+    j = t % (k1 + 1)
+    acts = np.where(head, t == -1, j == k1)
+    ages = t
+    ages += np.repeat(ds + k + 1, length)  # d + slots since delivery
+    j += 1
+    np.copyto(ages, j, where=~head)
+    d = int(ds[-1]) if n[-1] <= k[-1] else 1
+    return ages, acts, d, int(_service_after(k[-1], n[-1], k1))
+
+
 def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResult:
     """Monte Carlo estimate of (delta, p_bar) with batch-means errors.
 
-    Every policy steps through ``Policy.action``, one slot at a time, in
-    chunks of ``_CHUNK`` slots.  Each chunk records its slots' ages and
-    actions, then adds their post-warmup part to the batch totals with one
-    exact integer reduction (``np.add.reduceat``).
+    The run goes in chunks of ``_CHUNK`` slots, cut into success segments
+    (see the module docstring).  The delivered ages that start the segments
+    of a chunk solve one recursion by vectorised fixed-point rounds; the
+    chunk's ages and actions then follow in closed form, and their
+    post-warmup part goes into the batch totals by one exact integer
+    reduction (``np.add.reduceat``).  The last segment's open cycle carries
+    into the next chunk.  No age ceiling applies.
     """
     warmup = config.resolved_warmup()
     batch_size = (config.horizon - warmup) // config.batches
@@ -118,30 +217,19 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
     total = warmup + counted
     age_sums = np.zeros(config.batches, dtype=np.int64)
     mec_sums = np.zeros(config.batches, dtype=np.int64)
-    action, mu = policy.action, params.mu
-    a, z = 1, 0
+    aborts = _AbortIndices(policy)
+    d, z = 1, 0
     for pos in range(0, total, _CHUNK):
-        draws = uniforms(config.seed, pos, min(_CHUNK, total - pos)).tolist()
-        ages = []
-        acts = []
-        for draw in draws:
-            u = action(a, z)
-            ages.append(a)
-            acts.append(u)
-            if u:
-                a, z = 1, 0
-            elif draw < mu:
-                a, z = z + 1, 0
-            else:
-                a, z = a + 1, z + 1
+        success = uniforms(config.seed, pos, min(_CHUNK, total - pos)) < params.mu
+        ages, acts, d, z = _chunk(success, aborts, d, z)
         skip = max(warmup - pos, 0)  # warmup slots at the head of the chunk
-        if skip >= len(draws):
+        if skip >= success.size:
             continue
         first = pos + skip - warmup  # counted index of the first counted slot
-        lo, hi = first // batch_size, (pos + len(draws) - 1 - warmup) // batch_size
+        lo, hi = first // batch_size, (pos + success.size - 1 - warmup) // batch_size
         cuts = np.maximum(np.arange(lo, hi + 1) * batch_size - first, 0)
-        age_sums[lo : hi + 1] += np.add.reduceat(np.array(ages[skip:], dtype=np.int64), cuts)
-        mec_sums[lo : hi + 1] += np.add.reduceat(np.array(acts[skip:], dtype=np.int64), cuts)
+        age_sums[lo : hi + 1] += np.add.reduceat(ages[skip:], cuts, dtype=np.int64)
+        mec_sums[lo : hi + 1] += np.add.reduceat(acts[skip:], cuts, dtype=np.int64)
     age_means = age_sums / batch_size
     mec_means = mec_sums / batch_size
     return SimResult(

@@ -1,10 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aoi_offload.chain import (
     Policy,
+    age_threshold_policy,
     build_chain,
     local_only_policy,
     mec_only_policy,
@@ -132,6 +136,104 @@ def test_batch_sums_match_replay(policy):
         slots=size * cfg.batches,
     )
     assert simulate(policy, params, cfg) == expected
+
+
+def replay_result(policy, mu, cfg):
+    """The ``SimResult`` built from ``replay_states`` batch sums, as in
+    ``test_batch_sums_match_replay``."""
+    warmup = cfg.resolved_warmup()
+    size = (cfg.horizon - warmup) // cfg.batches
+    states = replay_states(policy, mu, cfg.seed, warmup + size * cfg.batches)[warmup:]
+    age_sums = [sum(a for a, _ in states[b * size:(b + 1) * size]) for b in range(cfg.batches)]
+    mec_sums = [sum(policy.action(a, z) for a, z in states[b * size:(b + 1) * size])
+                for b in range(cfg.batches)]
+    return SimResult(
+        delta_hat=sum(age_sums) / (size * cfg.batches) + 0.5,
+        p_bar_hat=sum(mec_sums) / (size * cfg.batches),
+        stderr_delta=batch_stderr([s / size for s in age_sums]),
+        stderr_p=batch_stderr([s / size for s in mec_sums]),
+        slots=size * cfg.batches,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    table=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    as_function=st.booleans(),
+    mu=st.floats(0.005, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    warmup=st.integers(1, 2 * _CHUNK),
+    span=st.integers(_CHUNK + 100, 2 * _CHUNK),
+    batches=st.integers(10, 23),
+)
+def test_kernel_matches_replay_on_random_tables(table, as_function, mu, seed, warmup, span,
+                                                batches):
+    # tables of length 1 are age thresholds; longer ones make k_d depend on d
+    # in other ways; the callable wrapper derives the same k_d lazily
+    policy = threshold_table_policy(table)
+    if as_function:
+        policy = Policy(name="wrapped", action_fn=policy.action)
+    cfg = SimConfig(horizon=warmup + span, seed=seed, warmup=warmup, batches=batches)
+    size = span // batches
+    assume(_CHUNK % size and warmup % size and warmup % _CHUNK)
+    assert warmup + size * batches > _CHUNK  # at least two chunks
+    assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
+
+
+def test_success_on_the_last_slot_of_a_chunk():
+    mu = 0.3
+    seed = next(s for s in range(1_000) if uniforms(s, _CHUNK - 1, 1)[0] < mu
+                and uniforms(s, 2 * _CHUNK - 1, 1)[0] < mu)
+    cfg = SimConfig(horizon=3 * _CHUNK + 17, seed=seed, warmup=1_001, batches=13)
+    for policy in (threshold_table_policy((5, 3, 2)), service_threshold_policy(2),
+                   Policy(name="diagonal", action_fn=lambda a, z: a + 2 * z >= 9)):
+        assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
+
+
+@pytest.mark.parametrize("policy", [
+    local_only_policy(),
+    service_threshold_policy(20_000),
+    age_threshold_policy(25_000, a_max=10**6),
+    threshold_table_policy((30_000, 20_000, 18_000)),
+], ids=lambda p: p.name)
+def test_cycle_carried_across_chunks(policy):
+    # cycles far longer than a chunk: ages above _CHUNK, offloads and
+    # deliveries in the middle of a carried cycle
+    mu, seed = 2e-5, 3
+    cfg = SimConfig(horizon=5 * _CHUNK + 3, seed=seed, warmup=7, batches=10)
+    assert max(a for a, _ in replay_states(policy, mu, seed, cfg.horizon)) > _CHUNK
+    assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
+
+
+@pytest.mark.parametrize("policy", [
+    threshold_table_policy((5, 3, 2)),
+    local_only_policy(),
+    mec_only_policy(),
+    service_threshold_policy(1),
+    Policy(name="diagonal", action_fn=lambda a, z: a + 2 * z >= 9),
+], ids=lambda p: p.name)
+def test_every_slot_succeeds_at_mu_one(policy):
+    cfg = SimConfig(horizon=2 * _CHUNK + 5, seed=8, warmup=3, batches=10)
+    assert simulate(policy, ModelParams(mu=1.0), cfg) == replay_result(policy, 1.0, cfg)
+
+
+def test_action_function_is_asked_only_as_far_as_segments_need():
+    calls = 0
+
+    def never(a, z):
+        nonlocal calls
+        calls += 1
+        return 0
+
+    params = ModelParams(mu=0.001)
+    cfg = SimConfig(horizon=4 * _CHUNK, seed=4)
+    start = time.perf_counter()
+    res = simulate(Policy(name="never", action_fn=never), params, cfg)
+    elapsed = time.perf_counter() - start
+    assert res == simulate(local_only_policy(), params, cfg)
+    # an eager scan up to the cap at every age would ask ~1e7 times
+    assert calls <= 3 * cfg.horizon
+    assert elapsed < 1.0
 
 
 def test_batch_stderr_basics():
