@@ -188,17 +188,18 @@ def occurring_ages(k: np.ndarray) -> int:
 
 
 def delivery_matrix(k: np.ndarray, mu: float) -> np.ndarray:
-    """Transition matrix ``[d - 1, d' - 1]`` of the delivery-age chain on the
-    ages ``1..k.size``, whose abort indices ``k`` are at most ``k.size``.
+    """Transition matrix ``[..., d - 1, d' - 1]`` of the delivery-age chain on
+    the ages ``1..r``, whose abort indices ``k[..., :r]`` are at most ``r``.
+    Leading axes of ``k`` are batch axes.
 
     Slot ``j`` of a cycle is reached with probability ``(1 - mu)**j``; it
     delivers age ``j + 1`` with probability ``mu`` if ``j < k_d`` and is the
     offload slot, delivering age 1, if ``j == k_d``.
     """
-    j = np.arange(k.size)
-    w = (1.0 - mu) ** np.arange(k.size + 1)
-    trans = np.where(j[None, :] < k[:, None], mu * w[None, :-1], 0.0)
-    trans[:, 0] += w[k]
+    r = k.shape[-1]
+    w = (1.0 - mu) ** np.arange(r + 1)
+    trans = np.where(np.arange(r) < k[..., None], mu * w[:-1], 0.0)
+    trans[..., 0] += w[k]
     return trans
 
 

@@ -28,20 +28,14 @@ value iteration this replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .core import ModelParams, State
-from .chain import (
-    Policy,
-    abort_indices,
-    delivery_matrix,
-    evaluate_exact,
-    occurring_ages,
-    threshold_table_policy,
-)
+from .chain import Policy, delivery_matrix, threshold_table_policy
+from .chain import evaluate_exact  # noqa: F401  -- perfbench/tracing.py patches it at this name
 
 __all__ = [
     "ValueTable",
@@ -266,18 +260,19 @@ def discounted_vi(params: ModelParams, n_iters: int) -> list[ValueTable]:
     """Discounted value iterates from the all-zero table (returned as entry 0).
 
     Each iterate looks one more slot ahead, so computing on a grid padded by
-    one row and column per iterate keeps the stored ``a_max`` block free of
-    any edge effects: it is exactly the unbounded-grid iterate.
+    one row and column per iterate still to come keeps the stored ``a_max``
+    block free of any edge effects: it is exactly the unbounded-grid
+    iterate.  The pad shrinks by one per iterate: each backup runs on the
+    previous grid, whose last row and column are the only ones the ceiling
+    touches, and slices them off.
     """
     if n_iters < 0:
         raise ValueError("n_iters must be >= 0")
-    pad = ModelParams(mu=params.mu, lam=params.lam, beta=params.beta,
-                      a_max=params.a_max + n_iters)
     k = params.a_max
-    v = np.zeros((pad.a_max, pad.a_max))
+    v = np.zeros((k + n_iters, k + n_iters))
     tables = [ValueTable(v[:k, :k].copy())]
-    for _ in range(n_iters):
-        v = _backup(v, pad, params.beta)
+    for n in range(n_iters, 0, -1):
+        v = _backup(v, replace(params, a_max=k + n), params.beta)[: k + n - 1, : k + n - 1]
         tables.append(ValueTable(v[:k, :k].copy()))
     return tables
 
@@ -316,13 +311,6 @@ class StructureReport:
         }
 
 
-def _first_negative(arr: np.ndarray, tol: float) -> tuple[int, int] | None:
-    bad = np.argwhere(arr < -tol)
-    if bad.size == 0:
-        return None
-    return int(bad[0][0]), int(bad[0][1])
-
-
 def _actions_grid(policy: Policy, a_max: int) -> np.ndarray:
     """Actions ``[a - 1, z]`` of ``policy`` in the truncated model, where the
     ceiling row offloads whatever the policy says."""
@@ -356,57 +344,45 @@ def verify_structure(
     if not value_iterates:
         raise ValueError("need at least one value iterate")
 
-    def value_check(name: str, diff_of) -> None:
+    # name, the differences that must be non-negative, and the offset from
+    # their index to the witness state (a, z)
+    value_checks = (
+        ("value_nondecreasing_in_age", lambda g: g[1:, :] - g[:-1, :], (2, 0)),
+        ("value_nondecreasing_in_service", lambda g: g[:, 1:] - g[:, :-1], (1, 1)),
+        ("relative_value_nonnegative", lambda g: g - g[0, 0], (1, 0)),
+    )
+    for name, diff_of, (da, dz) in value_checks:
         for k, table in enumerate(value_iterates):
-            g = table.grid
-            tol = rel_tol * (1.0 + float(np.abs(g).max()))
-            arr, to_state = diff_of(g)
-            w = _first_negative(arr, tol)
-            if w is not None:
-                a, z = to_state(*w)
-                checks.append(StructureCheck(
-                    name, False, State(a, z),
-                    f"iterate {k}: violated by {float(arr[w]):.3e}"))
-                return
-        checks.append(StructureCheck(name, True))
+            tol = rel_tol * (1.0 + float(np.abs(table.grid).max()))
+            arr = diff_of(table.grid)
+            if arr.min() >= -tol:  # most iterates pass; skip the index search on them
+                continue
+            bad = np.argwhere(arr < -tol)  # empty if a NaN hid the minimum
+            if bad.size:
+                i, j = int(bad[0][0]), int(bad[0][1])
+                checks.append(StructureCheck(name, False, State(i + da, j + dz),
+                                             f"iterate {k}: violated by {float(arr[i, j]):.3e}"))
+                break
+        else:
+            checks.append(StructureCheck(name, True))
 
-    value_check(
-        "value_nondecreasing_in_age",
-        lambda g: (g[1:, :] - g[:-1, :], lambda i, j: (i + 2, j)),
-    )
-    value_check(
-        "value_nondecreasing_in_service",
-        lambda g: (g[:, 1:] - g[:, :-1], lambda i, j: (i + 1, j + 1)),
-    )
-    value_check(
-        "relative_value_nonnegative",
-        lambda g: (g - g[0, 0], lambda i, j: (i + 1, j)),
-    )
-
-    a_max = value_iterates[0].a_max
-    u = _actions_grid(policy, a_max)
-
-    w = np.argwhere(u[:-1, :] & ~u[1:, :])
-    checks.append(
-        StructureCheck("offload_upward_closed_in_age", w.size == 0,
-                       State(int(w[0][0]) + 2, int(w[0][1])) if w.size else None)
-    )
-    w = np.argwhere(u[:, :-1] & ~u[:, 1:])
-    checks.append(
-        StructureCheck("offload_upward_closed_in_service", w.size == 0,
-                       State(int(w[0][0]) + 1, int(w[0][1]) + 1) if w.size else None)
-    )
+    u = _actions_grid(policy, value_iterates[0].a_max)
+    for name, gaps, (da, dz) in (
+        ("offload_upward_closed_in_age", u[:-1, :] & ~u[1:, :], (2, 0)),
+        ("offload_upward_closed_in_service", u[:, :-1] & ~u[:, 1:], (1, 1)),
+    ):
+        w = np.argwhere(gaps)
+        checks.append(StructureCheck(name, w.size == 0,
+                                     State(int(w[0][0]) + da, int(w[0][1]) + dz) if w.size else None))
     thresholds, exact = _thresholds_from_actions(u)
     checks.append(StructureCheck(
         "policy_is_threshold_table", exact,
         detail="" if exact else "greedy actions have a gap below some threshold"))
-    rising = np.argwhere(np.diff(thresholds) > 0)
-    checks.append(
-        StructureCheck("thresholds_nonincreasing", rising.size == 0,
-                       State(int(thresholds[int(rising[0][0]) + 1]), int(rising[0][0]) + 1) if rising.size else None,
-                       "" if rising.size == 0 else
-                       f"threshold rises between columns {int(rising[0][0])} and {int(rising[0][0]) + 1}")
-    )
+    rising = np.flatnonzero(np.diff(thresholds) > 0)
+    z = int(rising[0]) + 1 if rising.size else None
+    checks.append(StructureCheck(
+        "thresholds_nonincreasing", z is None, None if z is None else State(int(thresholds[z]), z),
+        "" if z is None else f"threshold rises between columns {z - 1} and {z}"))
     return StructureReport(checks)
 
 
@@ -455,25 +431,53 @@ def sweep_lambdas(mu: float, lambdas, a_max: int) -> list[tuple[float, SolveRepo
 
 @lru_cache(maxsize=None)
 def _count_tables(z: int, cap: int) -> int:
+    """Truncated non-increasing tables from column ``z`` with entries <= ``cap``."""
     total = 0
     for v in range(1, cap + 1):
         total += 1 if v <= z + 1 else _count_tables(z + 1, v)
     return total
 
 
-def _canonical_tables(bound: int):
-    """Non-increasing threshold tables, truncated at the first saturated
-    column; columns past it cannot occur, so longer tables are equivalent."""
+def _abort_vectors(bound: int) -> list[np.ndarray]:
+    """Abort indices ``k_1..k_r`` on the occurring delivery ages of every
+    non-increasing table with entries in ``[1, bound]``, one ``(count, r)``
+    array per length: ``k_1 = m <= bound - 1``, ``r = max(m, 1)``, steps of 0
+    or -1, and ``k_m <= bound - m``, so ``k_d <= bound - d <= a_max - d``."""
+    groups = [np.arange(min(bound, 2))[:, None]]
+    for m in range(2, bound):
+        k = np.array([[m]])
+        for d in range(2, m + 1):
+            k = np.vstack([np.c_[k, k[:, -1]], np.c_[k, k[:, -1] - 1]])
+            k = k[k[:, -1] - (m - d) <= bound - m]  # k_m can still meet its bound
+        groups.append(k)
+    return groups
 
-    def rec(z: int, cap: int, prefix: tuple[int, ...]):
-        for v in range(cap, 0, -1):
-            tab = prefix + (v,)
-            if v <= z + 1:
-                yield tab
-            else:
-                yield from rec(z + 1, v, tab)
 
-    yield from rec(0, bound, ())
+def _table_of(k, bound: int) -> tuple[int, ...]:
+    """The largest truncated table with entries at most ``bound`` whose abort
+    indices on the occurring ages are ``k``: column ``z`` offloads from age
+    ``z + d`` for the least delivered age ``d`` with ``k_d <= z``."""
+    table = [bound]
+    for z in range(bound):  # returns by z = bound - 1, where t_z <= bound <= z + 1
+        d = next((d for d, kd in enumerate(k, 1) if kd <= z), bound)
+        table.append(min(table[-1], z + d))
+        if table[-1] <= z + 1:
+            return tuple(table[1:])
+
+
+def _vector_gains(k: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Average cost of each row of abort indices ``k`` by renewal reward on
+    its delivery-age chain, ``g = sum nu_d C_d / sum nu_d slots[k_d]``, with
+    the stationary vectors ``nu`` from one stacked solve."""
+    n, r = k.shape
+    rows = np.arange(r + 1)
+    w = (1.0 - params.mu) ** rows
+    slots, lags = np.cumsum(w)[k], np.cumsum(rows * w)[k]
+    balance = np.swapaxes(delivery_matrix(k, params.mu), 1, 2) - np.eye(r)
+    balance[:, 0, :] = 1.0  # one balance equation replaced by the normalisation
+    nu = np.linalg.solve(balance, np.broadcast_to(np.eye(r)[:, :1], (n, r, 1)))[..., 0]
+    cycle = (rows[1:] + 0.5) * slots + lags + params.lam * w[k]
+    return (nu * cycle).sum(axis=1) / (nu * slots).sum(axis=1)
 
 
 def brute_force_best_threshold(
@@ -483,48 +487,42 @@ def brute_force_best_threshold(
 ) -> SolveReport:
     """Exhaustive search over threshold tables with entries in [1, bound].
 
-    Every table is evaluated exactly on its delivery-age chain, which makes
-    this a solver-independent oracle for the optimal policy class.  The
-    candidate count grows quickly with the bound, so oversized searches are
-    rejected up front with the count.
+    Tables that share their abort indices on the occurring delivery ages act
+    alike on every occurring state, so the search runs over those abort
+    vectors instead: ``F(bound + 1)`` of them (34 at bound 8), each evaluated
+    exactly on its delivery-age chain without the solver, which makes this a
+    solver-independent oracle for the optimal policy class.  Each vector
+    stands for its first table in descending lexicographic order, and ties
+    go to the vector whose table comes first: the result is that of
+    scanning every table in that order and keeping each strict improvement.
+    ``iterations`` counts the vectors evaluated.  The budget counts tables,
+    not vectors, since tables grow much faster with the bound; oversized
+    searches are rejected up front with the count.
     """
     if int(search_bound) != search_bound or search_bound < 1:
         raise ValueError(f"search_bound must be an integer >= 1, got {search_bound}")
     if search_bound > params.a_max:
         raise ValueError(f"search_bound {search_bound} exceeds a_max {params.a_max}")
-    count = _count_tables(0, int(search_bound))
+    bound = int(search_bound)
+    count = _count_tables(0, bound)
     if count > max_candidates:
         raise ValueError(
             f"search_bound {search_bound} yields {count} candidate tables, "
             f"over the {max_candidates} budget"
         )
-    best_g = np.inf
-    best_tab: tuple[int, ...] | None = None
-    n_evaluated = 0
-    # tables that share their abort indices on the occurring delivery ages act
-    # alike on every occurring state, so each such index vector is evaluated
-    # once; its result is bitwise that of every table sharing it
-    seen: dict[bytes, float] = {}
-    for tab in _canonical_tables(int(search_bound)):
-        policy = threshold_table_policy(tab)
-        k = abort_indices(policy, params.a_max)
-        key = k[: occurring_ages(k)].tobytes()
-        g = seen.get(key)
-        if g is None:
-            g = seen[key] = evaluate_exact(policy, params).g
-        n_evaluated += 1
-        if g < best_g:
-            best_g = g
-            best_tab = tab
+    groups = _abort_vectors(bound)
+    g = [_vector_gains(k, params) for k in groups]
+    best_g = min(x.min() for x in g)
+    best_tab = max(_table_of(k[i], bound) for k, x in zip(groups, g)
+                   for i in np.flatnonzero(x == best_g))
     policy = threshold_table_policy(
         best_tab, name=f"brute_force(bound={search_bound}, mu={params.mu:g}, lam={params.lam:g})"
     )
-    trimmed = {z: t for z, t in enumerate(best_tab)}
     return SolveReport(
         policy=policy,
         g=float(best_g),
-        thresholds=trimmed,
-        iterations=n_evaluated,
+        thresholds=dict(enumerate(best_tab)),
+        iterations=sum(len(k) for k in groups),
         span_residual=0.0,
         converged=True,
         full_thresholds=best_tab,

@@ -11,6 +11,7 @@ from aoi_offload.chain import (
 )
 from aoi_offload.core import ModelParams, State
 from aoi_offload.mdp import (
+    _backup,
     bellman_residual,
     brute_force_best_threshold,
     default_a_max,
@@ -44,6 +45,34 @@ def test_discounted_iterates_start_at_zero_and_grow():
     assert np.allclose(tables[1].grid, ages[:, None], atol=1e-12)
     for prev, cur in zip(tables, tables[1:]):
         assert (cur.grid >= prev.grid - 1e-12).all()
+
+
+def _padded_square_vi(params, n_iters):
+    """Discounted iterates backed up on one fixed grid padded by ``n_iters``."""
+    pad = ModelParams(mu=params.mu, lam=params.lam, beta=params.beta,
+                      a_max=params.a_max + n_iters)
+    k = params.a_max
+    v = np.zeros((pad.a_max, pad.a_max))
+    out = [v[:k, :k].copy()]
+    for _ in range(n_iters):
+        v = _backup(v, pad, params.beta)
+        out.append(v[:k, :k].copy())
+    return out
+
+
+# the last point keeps work local at the ceiling, so a pad ceiling leaking
+# into the stored block would show there
+@pytest.mark.parametrize("mu, lam, a_max, n_iters", [
+    (0.5, 3.0, 50, 300), (0.01, 0.5, 120, 50), (0.9, 20.0, 6, 60),
+])
+def test_shrinking_pad_is_bitwise_the_padded_square(mu, lam, a_max, n_iters):
+    params = ModelParams(mu=mu, lam=lam, beta=0.99, a_max=a_max)
+    got = discounted_vi(params, n_iters)
+    want = _padded_square_vi(params, n_iters)
+    assert len(got) == len(want) == n_iters + 1
+    for table, ref in zip(got, want):
+        assert table.grid.shape == ref.shape
+        assert table.grid.tobytes() == ref.tobytes()
 
 
 def test_value_table_accessor():
@@ -130,6 +159,14 @@ def test_brute_force_free_edge_degenerate():
     bf = brute_force_best_threshold(ModelParams(mu=0.4, lam=0.0, a_max=12), search_bound=6)
     assert bf.full_thresholds == (1,)
     assert bf.g == pytest.approx(1.5, abs=1e-10)
+
+
+def test_brute_force_ties_go_to_the_first_table_enumerated():
+    # a perfect local server delivers age 1 in one slot under every vector
+    # that starts work locally, so all of them cost 1.5 exactly
+    bf = brute_force_best_threshold(ModelParams(mu=1.0, lam=3.0, a_max=20), search_bound=8)
+    assert bf.full_thresholds == (8,) * 8
+    assert bf.g == 1.5
 
 
 def test_brute_force_exorbitant_price_pins_at_ceiling():

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_offload.chain import (
     Policy,
     abort_indices,
     age_threshold_policy,
     build_chain,
+    delivery_matrix,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
@@ -17,7 +20,14 @@ from aoi_offload.chain import (
     threshold_table_policy,
 )
 from aoi_offload.core import ModelParams
-from aoi_offload.mdp import bellman_residual, brute_force_best_threshold, rvi_solve
+from aoi_offload.mdp import (
+    _abort_vectors,
+    _table_of,
+    _vector_gains,
+    bellman_residual,
+    brute_force_best_threshold,
+    rvi_solve,
+)
 
 A_MAX = 30
 
@@ -144,3 +154,80 @@ def test_exorbitant_price_keeps_work_local_up_to_the_ceiling():
     never = evaluate_exact(local_only_policy(), params)
     assert report.g == pytest.approx(never.g, rel=1e-12)
     assert np.array_equal(abort_indices(report.policy, 25), abort_indices(local_only_policy(), 25))
+
+
+def _canonical_tables(bound):
+    """Non-increasing threshold tables with entries in [1, bound], truncated
+    at the first saturated column, in descending lexicographic order."""
+
+    def rec(z, cap, prefix):
+        for v in range(cap, 0, -1):
+            tab = prefix + (v,)
+            if v <= z + 1:
+                yield tab
+            else:
+                yield from rec(z + 1, v, tab)
+
+    yield from rec(0, bound, ())
+
+
+@pytest.mark.parametrize("bound, a_max", [(6, 6), (8, 20), (10, 10), (12, 12), (12, 20), (9, 30)])
+def test_abort_vectors_are_those_the_tables_reach(bound, a_max):
+    first = {}
+    for table in _canonical_tables(bound):
+        k = abort_indices(threshold_table_policy(table), a_max)
+        first.setdefault(tuple(k[: occurring_ages(k)].tolist()), table)
+    vectors = [tuple(row) for k in _abort_vectors(bound) for row in k.tolist()]
+    assert len(vectors) == len(set(vectors)) == len(first)
+    assert set(vectors) == set(first)
+    # the rebuilt table is the first table enumerated with that vector
+    assert all(_table_of(k, bound) == first[k] for k in vectors)
+
+
+def test_batched_delivery_matrix_matches_one_vector_at_a_time():
+    k = _abort_vectors(9)[4]
+    batched = delivery_matrix(k, 0.35)
+    assert batched.shape == (len(k), 5, 5)
+    for kk, mat in zip(k, batched):
+        assert np.array_equal(mat, delivery_matrix(kk, 0.35))
+
+
+@pytest.mark.parametrize("mu, lam", [(0.5, 3.0), (0.15, 11.0)])
+def test_oracle_gains_match_exact_evaluation(mu, lam):
+    params = ModelParams(mu=mu, lam=lam, a_max=20)
+    exact = {}
+    for group in _abort_vectors(8):
+        for k, g in zip(map(tuple, group.tolist()), _vector_gains(group, params)):
+            exact[k] = evaluate_exact(threshold_table_policy(_table_of(k, 8)), params).g
+            assert g == pytest.approx(exact[k], rel=1e-12)
+    assert len(exact) == 34
+    # the reported table is the first enumerated one whose vector is cheapest
+    least = min(exact.values())
+    for table in _canonical_tables(8):
+        k = abort_indices(threshold_table_policy(table), params.a_max)
+        if exact[tuple(k[: occurring_ages(k)].tolist())] == least:
+            break
+    assert brute_force_best_threshold(params, search_bound=8).full_thresholds == table
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("lam", [1.0, 3.0, 10.0])
+def test_full_class_oracle_matches_policy_iteration(mu, lam):
+    params = ModelParams(mu=mu, lam=lam, a_max=20)
+    oracle = brute_force_best_threshold(params, search_bound=20, max_candidates=10**7)
+    assert oracle.iterations == 10946
+    assert abs(rvi_solve(params).g - oracle.g) <= 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=st.floats(0.05, 1.0), lam=st.floats(0.0, 20.0))
+def test_policy_iteration_matches_bound_12_oracle(mu, lam):
+    params = ModelParams(mu=mu, lam=lam, a_max=20)
+    solved = rvi_solve(params)
+    oracle = brute_force_best_threshold(params, search_bound=12)
+    assert solved.g <= oracle.g + 1e-9
+    k = abort_indices(solved.policy, params.a_max)
+    r = occurring_ages(k)
+    # the oracle's class holds every vector that reaches no age above the bound
+    if (np.arange(1, r + 1) + k[:r]).max() <= 12:
+        assert oracle.g == pytest.approx(solved.g, rel=1e-9)
