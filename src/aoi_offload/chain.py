@@ -24,21 +24,24 @@ covers never-offload (threshold ``NEVER_OFFLOAD``), always-offload
 occurring age once ``z >= z_star``) and the solver's optimal tables.
 
 ``build_chain`` expands a policy into the full ``(a, z)`` chain from the
-one-slot kernel, independently of the abort indices.  The evaluator uses it
-to lift its solution and to check the balance equations of the full chain;
-``stationary`` solves that chain directly, by one sparse LU solve, and is
-the reference the tests compare against.
+one-slot kernel, independently of the abort indices, and keeps its
+transitions as COO triplets.  The evaluator uses it to lift its solution
+and to check the balance equations of the full chain, whose flow ``pi P``
+it sums from the triplets with ``np.bincount``.  ``stationary`` solves that
+chain directly, by one sparse LU solve, and is the reference the tests
+compare against.  Only ``stationary`` and ``ChainModel.matrix`` import
+scipy, so importing the package and evaluating, solving or simulating
+policies loads numpy alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import RESET, ModelParams, State, transitions
 from .heuristics import EvalResult
@@ -206,17 +209,30 @@ def delivery_matrix(k: np.ndarray, mu: float) -> np.ndarray:
 @dataclass
 class ChainModel:
     """Row-stochastic transition structure of a policy restricted to the
-    states reachable from ``(1, 0)`` under the truncated dynamics."""
+    states reachable from ``(1, 0)`` under the truncated dynamics.
+
+    Transition ``t`` moves from state ``rows[t]`` to ``cols[t]`` with
+    probability ``probs[t]``.  ``matrix`` is the same structure as a scipy
+    csr matrix, built (and scipy imported) on first access.
+    """
 
     states: list[State]
     index: dict[State, int]
-    matrix: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
     actions: np.ndarray
     params: ModelParams
 
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def matrix(self):
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.probs, (self.rows, self.cols)), shape=(self.n, self.n))
 
 
 def build_chain(policy: Policy, params: ModelParams) -> ChainModel:
@@ -248,9 +264,8 @@ def build_chain(policy: Policy, params: ModelParams) -> ChainModel:
             rows.append(i)
             cols.append(j)
             probs.append(t.prob)
-    n = len(states)
-    matrix = sp.csr_matrix((probs, (rows, cols)), shape=(n, n))
-    return ChainModel(states=states, index=index, matrix=matrix,
+    return ChainModel(states=states, index=index, rows=np.asarray(rows),
+                      cols=np.asarray(cols), probs=np.asarray(probs),
                       actions=np.asarray(actions), params=params)
 
 
@@ -287,10 +302,11 @@ class StationaryDistribution:
         return {s: float(p) for s, p in zip(self.states, self.probs)}
 
 
-def _check_balance(matrix: sp.csr_matrix, pi: np.ndarray) -> float:
-    """Balance residual ``max |pi P - pi|`` of the probability vector ``pi``;
-    raises ``StationarySolveError`` above 1e-10 or on a negative mass."""
-    res = float(np.max(np.abs(pi @ matrix - pi)))
+def _check_balance(flow: np.ndarray, pi: np.ndarray) -> float:
+    """Balance residual ``max |pi P - pi|`` of the probability vector ``pi``,
+    given its flow ``pi P``; raises ``StationarySolveError`` above 1e-10 or
+    on a negative mass."""
+    res = float(np.max(np.abs(flow - pi)))
     if res > 1e-10 or pi.min() < -1e-12:
         raise StationarySolveError(
             f"stationary vector failed the balance check: residual {res:.3e}", residual=res)
@@ -304,6 +320,9 @@ def stationary(chain: ChainModel) -> StationaryDistribution:
     The result must pass the balance check, or a ``StationarySolveError``
     carrying the residual is raised.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = chain.n
     balance = (chain.matrix.T - sp.identity(n, format="csr")).tolil()
     balance[0, :] = 1.0
@@ -312,7 +331,7 @@ def stationary(chain: ChainModel) -> StationaryDistribution:
     pi = spla.spsolve(balance.tocsr(), rhs)
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
     pi /= pi.sum()
-    res = _check_balance(chain.matrix, pi)
+    res = _check_balance(pi @ chain.matrix, pi)
     return StationaryDistribution(states=chain.states, probs=np.maximum(pi, 0.0),
                                   residual=res, method="direct")
 
@@ -338,7 +357,8 @@ def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
     ages, service = np.array(chain.states).reshape(-1, 2).T
     pi = nu[ages - service - 1] * (1.0 - params.mu) ** service
     pi /= pi.sum()
-    _check_balance(chain.matrix, pi)
+    flow = np.bincount(chain.cols, weights=pi[chain.rows] * chain.probs, minlength=chain.n)
+    _check_balance(flow, pi)
     delta = float(ages @ pi) + 0.5
     p_bar = min(max(float(pi[chain.actions == 1].sum()), 0.0), 1.0)
     return EvalResult(delta=delta, p_bar=p_bar, g=delta + params.lam * p_bar)

@@ -94,14 +94,22 @@ class SimResult:
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """The slot uniforms u_start .. u_{start+count-1} of the stream ``seed``."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x = np.uint64(seed & _MASK) + idx * _GAMMA
-    x ^= x >> np.uint64(30)
-    x *= _MIX1
-    x ^= x >> np.uint64(27)
-    x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    # in place, in two buffers: a chunk's temporaries would each sit at
+    # glibc's mmap threshold, so their cost would hang on allocator state
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x *= _GAMMA
+    x += np.uint64(seed & _MASK)
+    shifted = np.empty_like(x)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(x, np.uint64(shift), out=shifted)
+        x ^= shifted
+        x *= mix
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def batch_stderr(batch_means) -> float:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from aoi_offload import chain as chain_module
 from aoi_offload.chain import (
     NEVER_OFFLOAD,
     Policy,
@@ -116,6 +118,27 @@ def test_balance_check_failure_reports_residual():
     with pytest.raises(StationarySolveError) as err:
         stationary(chain)
     assert err.value.residual > 1e-10
+
+
+@pytest.mark.parametrize("policy, params", [
+    (local_only_policy(), ModelParams(mu=0.01, a_max=200)),
+    (threshold_table_policy((5, 3, 2)), ModelParams(mu=0.45, a_max=30)),
+    (service_threshold_policy(3), ModelParams(mu=0.3, a_max=50)),
+], ids=["local_only", "table_532", "service_3"])
+def test_triplet_flow_matches_sparse_matrix(monkeypatch, policy, params):
+    # the flow evaluate_exact checks, summed from the triplets, is pi P of
+    # the lazily built csr matrix, and that matrix is the triplets' csr
+    checked = []
+    check = chain_module._check_balance
+    monkeypatch.setattr(chain_module, "_check_balance",
+                        lambda flow, pi: checked.append((flow, pi)) or check(flow, pi))
+    evaluate_exact(policy, params)
+    (flow, pi), = checked
+    chain = build_chain(policy, params)
+    assert np.max(np.abs(flow - pi @ chain.matrix)) <= 1e-15
+    expected = sp.csr_matrix((chain.probs, (chain.rows, chain.cols)), shape=(chain.n, chain.n))
+    assert chain.matrix.format == "csr" and chain.matrix is chain.matrix
+    assert (chain.matrix != expected).nnz == 0
 
 
 def test_evaluate_age_threshold_two_state():

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from aoi_offload.chain import (
@@ -44,6 +44,26 @@ def test_uniforms_are_a_pure_function_of_slot_index():
     assert np.array_equal(u, uniforms(7, 0, 100))
     assert ((0.0 <= u) & (u < 1.0)).all()
     assert not np.array_equal(u, uniforms(8, 0, 100))
+
+
+def splitmix64_uniform(seed, n):
+    """Slot-n uniform from the module docstring's recipe, in Python ints."""
+    mask = (1 << 64) - 1
+    x = (seed + (n + 1) * 0x9E3779B97F4A7C15) & mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    x ^= x >> 31
+    return (x >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 12345, 2**40])
+def test_uniforms_match_python_splitmix64(seed, start):
+    for count in (1, 7, _CHUNK):
+        want = [splitmix64_uniform(seed, start + i) for i in range(count)]
+        assert uniforms(seed, start, count).tolist() == want
 
 
 def test_uniforms_look_uniform():
@@ -156,7 +176,10 @@ def replay_result(policy, mu, cfg):
     )
 
 
-@settings(max_examples=25, deadline=None)
+# no shrink phase: every example replays chunks slot by slot in Python, so
+# shrinking a failure took minutes before it was reported
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(
     table=st.lists(st.integers(1, 12), min_size=1, max_size=5),
     as_function=st.booleans(),
