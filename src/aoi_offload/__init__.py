@@ -36,7 +36,6 @@ from .chain import (
 from .mdp import (
     SolveReport,
     StructureReport,
-    ValueTable,
     brute_force_best_threshold,
     default_a_max,
     discounted_vi,
@@ -78,7 +77,6 @@ __all__ = [
     "threshold_table_policy",
     "SolveReport",
     "StructureReport",
-    "ValueTable",
     "brute_force_best_threshold",
     "default_a_max",
     "discounted_vi",

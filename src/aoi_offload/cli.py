@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -41,23 +42,16 @@ from .sim import SimConfig, simulate
 
 __all__ = ["FrontierPoint", "build_parser", "main", "lambda_grid"]
 
-FAMILIES = ("local_only", "mec_only", "age_threshold", "service_threshold", "optimal")
-
-_DEFAULT_METHOD = {
-    "local_only": "closed_form",
-    "mec_only": "closed_form",
-    "age_threshold": "chain",
-    "service_threshold": "closed_form",
-    "optimal": "rvi",
-}
-
-_ALLOWED_METHODS = {
+#: Evaluation methods per family; the first is the default.
+_METHODS = {
     "local_only": ("closed_form", "sim"),
     "mec_only": ("closed_form", "chain", "sim"),
     "age_threshold": ("chain", "sim"),
     "service_threshold": ("closed_form", "chain", "sim"),
     "optimal": ("rvi", "sim"),
 }
+
+FAMILIES = tuple(_METHODS)
 
 _CONFIG_KEYS = {
     "mu": "mu",
@@ -98,32 +92,33 @@ def _resolve_a_max(args) -> int:
     return args.a_max if args.a_max is not None else default_a_max(args.mu)
 
 
-def _model_params(args, parser) -> ModelParams:
+def _model_params(args, parser, **extra) -> ModelParams:
     """The model flags as ``ModelParams``; invalid values exit with code 2."""
     try:
-        return ModelParams(mu=args.mu, lam=args.lam, beta=args.beta, a_max=_resolve_a_max(args))
+        return ModelParams(mu=args.mu, lam=args.lam, a_max=_resolve_a_max(args), **extra)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _emit(text: str, out: str | None) -> int:
+def _sim_config(args, seed: int) -> SimConfig:
+    return SimConfig(horizon=args.horizon, seed=seed, warmup=args.warmup, batches=args.batches)
+
+
+def _emit(text: str, out: str | None, passed: bool = True) -> int:
+    """Write ``text``; the exit code is 3 if that fails, else 1 unless ``passed``."""
     if out is None:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    else:
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            return 3
+    return 0 if passed else 1
 
 
-def _point_json(point: FrontierPoint) -> str:
-    return json.dumps(asdict(point)) + "\n"
-
-
-def _build_policy(family: str, args, parser, a_max: int):
+def _build_policy(family: str, args, parser, params: ModelParams):
     if family == "local_only":
         return local_only_policy(), 0.0
     if family == "mec_only":
@@ -132,23 +127,21 @@ def _build_policy(family: str, args, parser, a_max: int):
         if family == "age_threshold":
             if args.astar is None:
                 parser.error("age_threshold requires --astar")
-            return age_threshold_policy(args.astar, a_max), float(args.astar)
+            return age_threshold_policy(args.astar, params.a_max), float(args.astar)
         if family == "service_threshold":
             if args.zstar is None:
                 parser.error("service_threshold requires --zstar >= 0")
             return service_threshold_policy(args.zstar), float(args.zstar)
     except ValueError as exc:
         parser.error(str(exc))
-    report = rvi_solve(ModelParams(mu=args.mu, lam=args.lam, a_max=a_max))
-    return report.policy, float(args.lam)
+    return rvi_solve(params).policy, float(args.lam)
 
 
 def _cmd_eval(args, parser) -> int:
     family = args.family
-    method = args.method or _DEFAULT_METHOD[family]
-    if method not in _ALLOWED_METHODS[family]:
+    method = args.method or _METHODS[family][0]
+    if method not in _METHODS[family]:
         parser.error(f"method {method!r} is not available for family {family!r}")
-    a_max = _resolve_a_max(args)
     try:
         if method == "closed_form":
             if family == "local_only":
@@ -160,22 +153,20 @@ def _cmd_eval(args, parser) -> int:
                     parser.error("service_threshold requires --zstar >= 0")
                 res = heuristics.service_threshold_eval(args.mu, args.zstar, args.lam)
                 param = float(args.zstar)
-            point = FrontierPoint(family, param, args.mu, res.p_bar, res.delta, method)
-        elif method in ("chain", "rvi"):
-            params = ModelParams(mu=args.mu, lam=args.lam, a_max=a_max)
-            policy, param = _build_policy(family, args, parser, a_max)
-            res = evaluate_exact(policy, params)
-            point = FrontierPoint(family, param, args.mu, res.p_bar, res.delta, method)
+            p_bar, delta = res.p_bar, res.delta
         else:
-            params = ModelParams(mu=args.mu, lam=args.lam, a_max=a_max)
-            policy, param = _build_policy(family, args, parser, a_max)
-            cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup,
-                            batches=args.batches)
-            sres = simulate(policy, params, cfg)
-            point = FrontierPoint(family, param, args.mu, sres.p_bar_hat, sres.delta_hat, "sim")
+            params = _model_params(args, parser)
+            policy, param = _build_policy(family, args, parser, params)
+            if method == "sim":
+                res = simulate(policy, params, _sim_config(args, args.seed))
+                p_bar, delta = res.p_bar_hat, res.delta_hat
+            else:
+                res = evaluate_exact(policy, params)
+                p_bar, delta = res.p_bar, res.delta
     except ValueError as exc:
         parser.error(str(exc))
-    return _emit(_point_json(point), args.out)
+    point = FrontierPoint(family, param, args.mu, p_bar, delta, method)
+    return _emit(json.dumps(asdict(point)) + "\n", args.out)
 
 
 def frontier_points(
@@ -186,24 +177,21 @@ def frontier_points(
     a_max: int,
 ) -> list[FrontierPoint]:
     """All frontier rows for one service rate, sorted by (family, param)."""
-    points: list[FrontierPoint] = []
-    res = heuristics.local_only(mu)
-    points.append(FrontierPoint("local_only", 0.0, mu, res.p_bar, res.delta, "closed_form"))
-    res = heuristics.mec_only()
-    points.append(FrontierPoint("mec_only", 0.0, mu, res.p_bar, res.delta, "closed_form"))
+    params = ModelParams(mu=mu, a_max=a_max)
+    # (family, param, evaluation, method) per row
+    rows = [("local_only", 0.0, heuristics.local_only(mu), "closed_form"),
+            ("mec_only", 0.0, heuristics.mec_only(), "closed_form")]
     for a_star in a_stars:
-        params = ModelParams(mu=mu, a_max=a_max)
         res = evaluate_exact(age_threshold_policy(a_star, a_max), params)
-        points.append(FrontierPoint("age_threshold", float(a_star), mu, res.p_bar, res.delta, "chain"))
+        rows.append(("age_threshold", float(a_star), res, "chain"))
     for z_star in z_stars:
-        res = heuristics.service_threshold_eval(mu, z_star)
-        points.append(FrontierPoint("service_threshold", float(z_star), mu, res.p_bar, res.delta, "closed_form"))
+        rows.append(("service_threshold", float(z_star),
+                     heuristics.service_threshold_eval(mu, z_star), "closed_form"))
     for lam, report in sweep_lambdas(mu, lambdas, a_max):
-        params = ModelParams(mu=mu, lam=lam, a_max=a_max)
-        res = evaluate_exact(report.policy, params)
-        points.append(FrontierPoint("optimal", lam, mu, res.p_bar, res.delta, "rvi"))
-    points.sort(key=lambda p: (p.family, p.param))
-    return points
+        res = evaluate_exact(report.policy, ModelParams(mu=mu, lam=lam, a_max=a_max))
+        rows.append(("optimal", lam, res, "rvi"))
+    return sorted((FrontierPoint(family, param, mu, res.p_bar, res.delta, method)
+                   for family, param, res, method in rows), key=lambda p: (p.family, p.param))
 
 
 def _render_csv(points: list[FrontierPoint]) -> str:
@@ -216,15 +204,12 @@ def _render_csv(points: list[FrontierPoint]) -> str:
 
 
 def _cmd_frontier(args, parser) -> int:
-    lo, hi = args.astar_range
-    a_stars = range(lo, hi + 1)
-    if len(a_stars) == 0:
-        parser.error("empty --astar-range")
-    lo, hi = args.zstar_range
-    z_stars = range(lo, hi + 1)
-    if len(z_stars) == 0:
-        parser.error("empty --zstar-range")
-    if args.lambda_count < 1 or args.lambda_min <= 0 or args.lambda_max <= args.lambda_min:
+    a_stars = range(args.astar_range[0], args.astar_range[1] + 1)
+    z_stars = range(args.zstar_range[0], args.zstar_range[1] + 1)
+    for flag, stars in (("--astar-range", a_stars), ("--zstar-range", z_stars)):
+        if not stars:
+            parser.error(f"empty {flag}")
+    if not (args.lambda_count >= 1 and 0 < args.lambda_min < args.lambda_max < math.inf):
         parser.error("need 0 < lambda-min < lambda-max and lambda-count >= 1")
     a_max = _resolve_a_max(args)
     lambdas = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
@@ -253,19 +238,14 @@ def _cmd_rvi(args, parser) -> int:
         "threshold_exact": report.threshold_exact,
         "thresholds": {str(z): t for z, t in report.thresholds.items()},
     }
-    code = _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if code:
-        return code
-    return 0 if report.converged else 1
+    return _emit(json.dumps(payload, indent=2) + "\n", args.out, report.converged)
 
 
 def _cmd_simulate(args, parser) -> int:
     params = _model_params(args, parser)
-    policy, param = _build_policy(args.family, args, parser, params.a_max)
+    policy, param = _build_policy(args.family, args, parser, params)
     try:
-        cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup,
-                        batches=args.batches)
-        res = simulate(policy, params, cfg)
+        res = simulate(policy, params, _sim_config(args, args.seed))
     except ValueError as exc:
         parser.error(str(exc))
     payload = {
@@ -283,12 +263,11 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _verify_checks(args, params: ModelParams) -> dict:
-    a_max = params.a_max
     report = rvi_solve(params)
     iterates = discounted_vi(params, args.vi_iters)
     if args.inject_corruption:
-        mid = a_max // 2
-        iterates[-1].grid[mid, 0] = iterates[-1].grid[mid, 0] - 10.0 * (1 + abs(iterates[-1].grid).max())
+        mid = params.a_max // 2
+        iterates[-1][mid, 0] -= 10.0 * (1 + abs(iterates[-1]).max())
     structure = verify_structure(iterates, report.policy)
     agreement = []
 
@@ -312,7 +291,7 @@ def _verify_checks(args, params: ModelParams) -> dict:
         })
     for z_star in (0, 2, 5):
         closed = heuristics.service_threshold_eval(args.mu, z_star)
-        cfg = SimConfig(horizon=args.horizon, seed=args.seed + z_star)
+        cfg = _sim_config(args, args.seed + z_star)
         sres = simulate(service_threshold_policy(z_star), params, cfg)
         ok = (abs(sres.delta_hat - closed.delta) <= max(3 * sres.stderr_delta, 1e-9)
               and abs(sres.p_bar_hat - closed.p_bar) <= max(3 * sres.stderr_p, 1e-9))
@@ -328,7 +307,7 @@ def _verify_checks(args, params: ModelParams) -> dict:
         "mu": args.mu,
         "lambda": args.lam,
         "beta": args.beta,
-        "a_max": a_max,
+        "a_max": params.a_max,
         "g": report.g,
         "thresholds": {str(z): t for z, t in report.thresholds.items()},
         "structure": structure.to_dict(),
@@ -337,11 +316,12 @@ def _verify_checks(args, params: ModelParams) -> dict:
 
 
 def _cmd_verify(args, parser) -> int:
-    payload = _verify_checks(args, _model_params(args, parser))
-    code = _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    if code:
-        return code
-    return 0 if payload["passed"] else 1
+    params = _model_params(args, parser, beta=args.beta)
+    try:
+        payload = _verify_checks(args, params)
+    except ValueError as exc:  # flags that only the solvers and simulator check
+        parser.error(str(exc))
+    return _emit(json.dumps(payload, indent=2) + "\n", args.out, payload["passed"])
 
 
 def _add_model_flags(sub, mu_default=0.5):
@@ -349,7 +329,6 @@ def _add_model_flags(sub, mu_default=0.5):
                      help="local per-slot completion probability")
     sub.add_argument("--lambda", dest="lam", type=float, default=0.0,
                      help="price per edge use")
-    sub.add_argument("--beta", type=float, default=0.99, help="discount factor")
     sub.add_argument("--amax", dest="a_max", type=int, default=None,
                      help="age ceiling (default: 50, or 400 when mu < 0.1)")
     sub.add_argument("--config", type=str, default=None,
@@ -396,12 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="structural and agreement checks")
     _add_model_flags(p_verify)
     _add_sim_flags(p_verify)
-    p_verify.set_defaults(lam=3.0, horizon=1_000_000, seed=123456)
+    p_verify.add_argument("--beta", type=float, default=0.99,
+                          help="discount factor of the value iterates")
     p_verify.add_argument("--vi-iters", type=int, default=300,
                           help="discounted iterates for the structure checks")
     p_verify.add_argument("--inject-corruption", action="store_true",
                           help="corrupt one value entry to prove the checks can fail")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, lam=3.0, seed=123456)
 
     p_sim = subs.add_parser("simulate", help="Monte Carlo one policy")
     _add_model_flags(p_sim)

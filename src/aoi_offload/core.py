@@ -12,6 +12,7 @@ within the slot (action 1), which costs ``lam`` and resets the system to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,8 @@ __all__ = [
     "cost",
     "truncated_states",
     "validate_state",
+    "validate_rate",
+    "validate_price",
 ]
 
 LOCAL = 0
@@ -50,12 +53,22 @@ class Transition(NamedTuple):
 RESET = State(1, 0)
 
 
+def validate_rate(mu: float) -> None:
+    if not 0.0 < mu <= 1.0:
+        raise ValueError(f"mu must be in (0, 1], got {mu}")
+
+
+def validate_price(lam: float) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants shared by every solver and evaluator.
 
     mu:    per-slot completion probability of the local processor, in (0, 1].
-    lam:   price charged per edge use, >= 0.
+    lam:   price charged per edge use, finite and >= 0.
     beta:  discount factor for the discounted value iterates, in (0, 1).
     a_max: age ceiling of the truncated state space; once the age reaches it
            the scheduler is forced to offload, so ages never exceed a_max.
@@ -67,10 +80,8 @@ class ModelParams:
     a_max: int = 50
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu <= 1.0:
-            raise ValueError(f"mu must be in (0, 1], got {self.mu}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        validate_rate(self.mu)
+        validate_price(self.lam)
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if int(self.a_max) != self.a_max or self.a_max < 2:

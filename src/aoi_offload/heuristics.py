@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import validate_price, validate_rate
+
 __all__ = [
     "EvalResult",
     "ServiceMoments",
@@ -58,11 +60,6 @@ class ServiceMoments:
     e_y: float
 
 
-def _validate_mu(mu: float) -> None:
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
-
-
 def _validate_z_star(z_star: int) -> None:
     if int(z_star) != z_star or z_star < 0:
         raise ValueError(f"z_star must be a non-negative integer, got {z_star}")
@@ -75,13 +72,15 @@ def local_only(mu: float, lam: float = 0.0) -> EvalResult:
 
     At mu = 0 the age diverges, so that rate is rejected.
     """
-    _validate_mu(mu)
+    validate_rate(mu)
+    validate_price(lam)
     delta = (4.0 - mu) / (2.0 * mu)
     return EvalResult(delta=delta, p_bar=0.0, g=delta)
 
 
 def mec_only(lam: float = 0.0) -> EvalResult:
     """Offload every slot: the one-slot edge server pins the age at its floor."""
+    validate_price(lam)
     return EvalResult(delta=1.5, p_bar=1.0, g=1.5 + lam)
 
 
@@ -96,7 +95,7 @@ def service_moments(mu: float, z_star: int) -> ServiceMoments:
         E[S^2] = (2 (1 - mu) - q (1 - mu) (2 + z_star mu)) / mu^2
                  + (1 - q z_star - q) / mu + q z_star + q
     """
-    _validate_mu(mu)
+    validate_rate(mu)
     _validate_z_star(z_star)
     if z_star == 0 or mu == 1.0:
         # every cycle is a single slot (abort immediately, or the local
@@ -121,6 +120,7 @@ def service_threshold_eval(mu: float, z_star: int, lam: float = 0.0) -> EvalResu
     p_bar is the rate of cycles that end in an offload over the mean cycle
     length: mu (1 - mu)**z_star / (1 - (1 - mu)**(z_star + 1)).
     """
+    validate_price(lam)
     m = service_moments(mu, z_star)
     mubar = 1.0 - mu
     delta = m.e_y + m.e_s2 / (2.0 * m.e_s)

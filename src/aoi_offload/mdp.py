@@ -1,6 +1,6 @@
 """Average-cost optimal offloading on the truncated state grid.
 
-Values live on a dense ``(a_max, a_max)`` grid indexed ``[a - 1, z]``.  The
+Values live on a dense ``(a_max, a_max)`` array indexed ``[a - 1, z]``.  The
 grid deliberately covers every column at every row: entries with
 ``z >= a`` cannot occur on a trajectory from ``(1, 0)``, but their values
 are well defined, they keep the backups branch-free, and occurring states
@@ -23,12 +23,14 @@ prefix sums.  The full value grid is then rebuilt from ``g`` and ``h`` by
 one backward row sweep of the optimality equation, so the greedy actions,
 thresholds and Bellman residual read off it exactly as from a value
 iteration fixed point.  The name ``rvi_solve`` is kept from the relative
-value iteration this replaced.
+value iteration this replaced.  One formula gives the local and offload
+sides of a backup; the backup, the greedy actions, the span residual and
+the Bellman residual all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +40,6 @@ from .chain import Policy, delivery_matrix, threshold_table_policy
 from .chain import evaluate_exact  # noqa: F401  -- perfbench/tracing.py patches it at this name
 
 __all__ = [
-    "ValueTable",
     "SolveReport",
     "StructureCheck",
     "StructureReport",
@@ -60,24 +61,6 @@ def default_a_max(mu: float) -> int:
 
 
 @dataclass
-class ValueTable:
-    """Dense value grid, ``grid[a - 1, z]`` for ``a in 1..a_max``."""
-
-    grid: np.ndarray
-
-    @property
-    def a_max(self) -> int:
-        return self.grid.shape[0]
-
-    def value(self, a: int, z: int) -> float:
-        return float(self.grid[a - 1, z])
-
-    def h(self) -> np.ndarray:
-        """Values relative to the reference state ``(1, 0)``."""
-        return self.grid - self.grid[0, 0]
-
-
-@dataclass
 class SolveReport:
     """Converged policy with its average cost and per-column thresholds.
 
@@ -93,7 +76,7 @@ class SolveReport:
     iterations: int
     span_residual: float
     converged: bool
-    values: ValueTable | None = None
+    values: np.ndarray | None = None
     action_grid: np.ndarray | None = None
     threshold_exact: bool = True
     full_thresholds: tuple[int, ...] = ()
@@ -103,14 +86,21 @@ def _base_ages(a_max: int) -> np.ndarray:
     return np.arange(1, a_max + 1, dtype=float) + 0.5
 
 
+def _choices(v: np.ndarray, p: ModelParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of one optimality backup of ``v``: working locally on the
+    block ``[:-1, :-1]`` (the ceiling row and the top service column have no
+    local branch) and offloading, one value per age row."""
+    base = _base_ages(p.a_max)
+    comp = v[:-1, 0]
+    local = base[:-1, None] + beta * (p.mu * comp[None, :] + (1.0 - p.mu) * v[1:, 1:])
+    return local, base + p.lam + beta * v[0, 0]
+
+
 def _backup(v: np.ndarray, p: ModelParams, beta: float) -> np.ndarray:
     """One synchronous sweep of the optimality backup over the grid."""
-    a_max = p.a_max
-    base = _base_ages(a_max)
-    out = np.broadcast_to((base + p.lam + beta * v[0, 0])[:, None], (a_max, a_max)).copy()
-    comp = v[: a_max - 1, 0]
-    local = base[: a_max - 1, None] + beta * (p.mu * comp[None, :] + (1.0 - p.mu) * v[1:, 1:])
-    blk = out[: a_max - 1, : a_max - 1]
+    local, offload = _choices(v, p, beta)
+    out = np.broadcast_to(offload[:, None], v.shape).copy()
+    blk = out[:-1, :-1]
     np.minimum(local, blk, out=blk)
     return out
 
@@ -118,13 +108,9 @@ def _backup(v: np.ndarray, p: ModelParams, beta: float) -> np.ndarray:
 def _greedy_actions(v: np.ndarray, p: ModelParams) -> np.ndarray:
     """Offload exactly where it is strictly cheaper; ties keep the work local.
     The age ceiling row and the top service column are forced offloads."""
-    a_max = p.a_max
-    base = _base_ages(a_max)
-    u = np.ones((a_max, a_max), dtype=bool)
-    offload = (base + p.lam + v[0, 0])[: a_max - 1, None]
-    comp = v[: a_max - 1, 0]
-    local = base[: a_max - 1, None] + p.mu * comp[None, :] + (1.0 - p.mu) * v[1:, 1:]
-    u[: a_max - 1, : a_max - 1] = local > offload
+    local, offload = _choices(v, p, 1.0)
+    u = np.ones(v.shape, dtype=bool)
+    u[:-1, :-1] = local > offload[:-1, None]
     return u
 
 
@@ -249,14 +235,14 @@ def rvi_solve(
         iterations=iterations,
         span_residual=float(diff.max() - diff.min()),
         converged=converged,
-        values=ValueTable(v),
+        values=v,
         action_grid=u,
         threshold_exact=exact,
         full_thresholds=full,
     )
 
 
-def discounted_vi(params: ModelParams, n_iters: int) -> list[ValueTable]:
+def discounted_vi(params: ModelParams, n_iters: int) -> list[np.ndarray]:
     """Discounted value iterates from the all-zero table (returned as entry 0).
 
     Each iterate looks one more slot ahead, so computing on a grid padded by
@@ -270,11 +256,11 @@ def discounted_vi(params: ModelParams, n_iters: int) -> list[ValueTable]:
         raise ValueError("n_iters must be >= 0")
     k = params.a_max
     v = np.zeros((k + n_iters, k + n_iters))
-    tables = [ValueTable(v[:k, :k].copy())]
+    grids = [v[:k, :k].copy()]
     for n in range(n_iters, 0, -1):
         v = _backup(v, replace(params, a_max=k + n), params.beta)[: k + n - 1, : k + n - 1]
-        tables.append(ValueTable(v[:k, :k].copy()))
-    return tables
+        grids.append(v[:k, :k].copy())
+    return grids
 
 
 @dataclass
@@ -297,18 +283,7 @@ class StructureReport:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "witness": list(c.witness) if c.witness else None,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, **asdict(self)}
 
 
 def _actions_grid(policy: Policy, a_max: int) -> np.ndarray:
@@ -328,7 +303,7 @@ def _actions_grid(policy: Policy, a_max: int) -> np.ndarray:
 
 
 def verify_structure(
-    value_iterates: list[ValueTable],
+    value_iterates: list[np.ndarray],
     policy: Policy,
     rel_tol: float = 1e-8,
 ) -> StructureReport:
@@ -352,9 +327,9 @@ def verify_structure(
         ("relative_value_nonnegative", lambda g: g - g[0, 0], (1, 0)),
     )
     for name, diff_of, (da, dz) in value_checks:
-        for k, table in enumerate(value_iterates):
-            tol = rel_tol * (1.0 + float(np.abs(table.grid).max()))
-            arr = diff_of(table.grid)
+        for k, grid in enumerate(value_iterates):
+            tol = rel_tol * (1.0 + float(np.abs(grid).max()))
+            arr = diff_of(grid)
             if arr.min() >= -tol:  # most iterates pass; skip the index search on them
                 continue
             bad = np.argwhere(arr < -tol)  # empty if a NaN hid the minimum
@@ -366,7 +341,7 @@ def verify_structure(
         else:
             checks.append(StructureCheck(name, True))
 
-    u = _actions_grid(policy, value_iterates[0].a_max)
+    u = _actions_grid(policy, len(value_iterates[0]))
     for name, gaps, (da, dz) in (
         ("offload_upward_closed_in_age", u[:-1, :] & ~u[1:, :], (2, 0)),
         ("offload_upward_closed_in_service", u[:, :-1] & ~u[:, 1:], (1, 1)),
@@ -388,7 +363,7 @@ def verify_structure(
 
 def bellman_residual(report: SolveReport, params: ModelParams) -> float:
     """Max violation of the average-cost optimality equation at the solution."""
-    v = report.values.grid
+    v = report.values
     t = _backup(v, params, 1.0)
     return float(np.abs(t - v - report.g).max())
 
@@ -424,7 +399,7 @@ def sweep_lambdas(mu: float, lambdas, a_max: int) -> list[tuple[float, SolveRepo
     for lam in sorted(float(x) for x in lambdas):
         params = ModelParams(mu=mu, lam=lam, a_max=a_max)
         report = rvi_solve(params, v_init=v)
-        v = report.values.grid
+        v = report.values
         out.append((lam, report))
     return out
 

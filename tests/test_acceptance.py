@@ -211,7 +211,7 @@ def test_criterion_09_truncation_stability(fig_sweep):
     if abs(g100 - g50) >= 1e-4:
         failures.append(("mu=0.5 lam=3", g50, g100))
     for lam, solved in fig_sweep:
-        warm = expand_value_grid(solved.values.grid, 2 * FIG_A_MAX)
+        warm = expand_value_grid(solved.values, 2 * FIG_A_MAX)
         doubled = rvi_solve(ModelParams(mu=FIG_MU, lam=lam, a_max=2 * FIG_A_MAX), v_init=warm)
         if abs(doubled.g - solved.g) >= 1e-4:
             failures.append((lam, solved.g, doubled.g))

@@ -63,6 +63,16 @@ def test_eval_optimal_reports_lambda_as_param(capsys):
         ["verify", "--mu", "1.5"],
         ["simulate", "--family", "age_threshold", "--astar", "0"],
         ["simulate", "--family", "service_threshold", "--zstar", "-1"],
+        ["verify", "--batches", "5"],
+        ["verify", "--vi-iters", "-1"],
+        ["verify", "--horizon", "5"],
+        ["rvi", "--mu", "0.5", "--lambda", "nan"],
+        ["rvi", "--mu", "0.5", "--lambda", "inf"],
+        ["frontier", "--mu", "0.5", "--lambda-max", "nan"],
+        ["eval", "--family", "mec_only", "--lambda", "nan"],
+        ["eval", "--family", "mec_only", "--beta", "5"],
+        ["rvi", "--beta", "0.9"],
+        ["simulate", "--family", "local_only", "--beta", "0.9"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):

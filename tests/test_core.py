@@ -78,6 +78,8 @@ def test_invalid_states_and_actions_rejected():
         dict(mu=0.0),
         dict(mu=1.2),
         dict(mu=0.5, lam=-1.0),
+        dict(mu=0.5, lam=float("nan")),
+        dict(mu=0.5, lam=float("inf")),
         dict(mu=0.5, beta=1.0),
         dict(mu=0.5, beta=0.0),
         dict(mu=0.5, a_max=1),

@@ -159,3 +159,12 @@ def test_eval_result_guards():
         EvalResult(delta=1.0, p_bar=0.5, g=1.0)
     with pytest.raises(ValueError):
         EvalResult(delta=2.0, p_bar=1.5, g=2.0)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_closed_forms_reject_bad_prices(lam):
+    for evaluate in (lambda: local_only(0.5, lam), lambda: mec_only(lam),
+                     lambda: service_threshold_eval(0.5, 1, lam)):
+        with pytest.raises(ValueError):
+            evaluate()
+    assert mec_only(1e6).g == 1.5 + 1e6

@@ -40,11 +40,11 @@ def test_free_edge_is_used_everywhere():
 def test_discounted_iterates_start_at_zero_and_grow():
     params = ModelParams(mu=0.5, lam=3.0, beta=0.9, a_max=12)
     tables = discounted_vi(params, 40)
-    assert not tables[0].grid.any()
+    assert not tables[0].any()
     ages = np.arange(1, 13, dtype=float) + 0.5
-    assert np.allclose(tables[1].grid, ages[:, None], atol=1e-12)
+    assert np.allclose(tables[1], ages[:, None], atol=1e-12)
     for prev, cur in zip(tables, tables[1:]):
-        assert (cur.grid >= prev.grid - 1e-12).all()
+        assert (cur >= prev - 1e-12).all()
 
 
 def _padded_square_vi(params, n_iters):
@@ -70,17 +70,9 @@ def test_shrinking_pad_is_bitwise_the_padded_square(mu, lam, a_max, n_iters):
     got = discounted_vi(params, n_iters)
     want = _padded_square_vi(params, n_iters)
     assert len(got) == len(want) == n_iters + 1
-    for table, ref in zip(got, want):
-        assert table.grid.shape == ref.shape
-        assert table.grid.tobytes() == ref.tobytes()
-
-
-def test_value_table_accessor():
-    params = ModelParams(mu=0.5, lam=3.0, beta=0.9, a_max=8)
-    table = discounted_vi(params, 1)[1]
-    assert table.value(3, 0) == pytest.approx(3.5)
-    assert table.a_max == 8
-    assert table.h()[0, 0] == 0.0
+    for grid, ref in zip(got, want):
+        assert grid.shape == ref.shape
+        assert grid.tobytes() == ref.tobytes()
 
 
 def test_structure_checks_pass_on_solved_instance():
@@ -95,7 +87,7 @@ def test_corrupted_values_are_caught_with_witness():
     params = ModelParams(mu=0.5, lam=3.0, beta=0.99, a_max=20)
     report = rvi_solve(params)
     iterates = discounted_vi(params, 50)
-    iterates[-1].grid[10, 0] -= 1000.0
+    iterates[-1][10, 0] -= 1000.0
     sr = verify_structure(iterates, report.policy)
     failed = {c.name for c in sr.failures()}
     assert "value_nondecreasing_in_age" in failed
@@ -194,7 +186,7 @@ def test_expand_value_grid_warm_start_is_nearly_fixed():
     params = ModelParams(mu=0.5, lam=3.0, a_max=50)
     small = rvi_solve(params)
     big_params = ModelParams(mu=0.5, lam=3.0, a_max=120)
-    warm = rvi_solve(big_params, v_init=expand_value_grid(small.values.grid, 120))
+    warm = rvi_solve(big_params, v_init=expand_value_grid(small.values, 120))
     cold = rvi_solve(big_params)
     assert warm.iterations < cold.iterations
     assert warm.g == pytest.approx(cold.g, abs=1e-8)

@@ -117,14 +117,14 @@ def test_rebuilt_grid_solves_the_optimality_equation(mu, lam, a_max):
     assert report.converged
     assert bellman_residual(report, params) <= 1e-9
     assert report.span_residual <= 1e-9
-    assert report.values.grid[0, 0] == 0.0
+    assert report.values[0, 0] == 0.0
     assert abs(evaluate_exact(report.policy, params).g - report.g) <= 1e-9
 
 
 def test_warm_start_from_the_solution_takes_one_step():
     params = ModelParams(mu=0.3, lam=2.0, a_max=40)
     cold = rvi_solve(params)
-    warm = rvi_solve(params, v_init=cold.values.grid)
+    warm = rvi_solve(params, v_init=cold.values)
     assert warm.iterations == 1
     assert warm.full_thresholds == cold.full_thresholds
     assert warm.g == pytest.approx(cold.g, abs=1e-12)
