@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .core import RESET, ModelParams, State, transitions
-from .heuristics import EvalResult
+from .heuristics import EvalResult, validate_z_star
 
 __all__ = [
     "NEVER_OFFLOAD",
@@ -127,8 +127,7 @@ def service_threshold_policy(z_star: int) -> Policy:
     In state terms: act 1 iff ``z >= z_star``, which at every occurring age
     (``a >= z + 1``) is an age threshold of 1 from column ``z_star`` onward.
     """
-    if int(z_star) != z_star or z_star < 0:
-        raise ValueError(f"z_star must be a non-negative integer, got {z_star}")
+    validate_z_star(z_star)
     return Policy(
         name=f"service_threshold({z_star})",
         thresholds=(NEVER_OFFLOAD,) * int(z_star) + (1,),
@@ -290,16 +289,6 @@ class StationaryDistribution:
     residual: float
     method: str
     iterations: int = 0
-
-    def prob(self, s) -> float:
-        s = State(*s)
-        for st, p in zip(self.states, self.probs):
-            if st == s:
-                return float(p)
-        return 0.0
-
-    def as_dict(self) -> dict[State, float]:
-        return {s: float(p) for s, p in zip(self.states, self.probs)}
 
 
 def _check_balance(flow: np.ndarray, pi: np.ndarray) -> float:

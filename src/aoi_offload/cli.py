@@ -8,8 +8,9 @@ Subcommands:
   rvi       solve for the optimal policy, print gain and thresholds
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid flags,
-3 output could not be written.  Flags override values from an optional
-``--config`` JSON file, which overrides the built-in defaults.
+3 output could not be written.  Every flag a command takes is checked
+before it computes anything.  Flags override values from an optional
+``--config PATH`` JSON file, which overrides the built-in defaults.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -92,16 +93,20 @@ def _resolve_a_max(args) -> int:
     return args.a_max if args.a_max is not None else default_a_max(args.mu)
 
 
-def _model_params(args, parser, **extra) -> ModelParams:
-    """The model flags as ``ModelParams``; invalid values exit with code 2."""
+def _checked(parser, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` it raises exits with code 2."""
     try:
-        return ModelParams(mu=args.mu, lam=args.lam, a_max=_resolve_a_max(args), **extra)
+        return build(*args, **kwargs)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _sim_config(args, seed: int) -> SimConfig:
-    return SimConfig(horizon=args.horizon, seed=seed, warmup=args.warmup, batches=args.batches)
+def _model_params(args, parser, **extra) -> ModelParams:
+    return _checked(parser, ModelParams, args.mu, args.lam, a_max=_resolve_a_max(args), **extra)
+
+
+def _sim_config(args, parser) -> SimConfig:
+    return _checked(parser, SimConfig, args.horizon, args.seed, args.warmup, args.batches)
 
 
 def _emit(text: str, out: str | None, passed: bool = True) -> int:
@@ -123,17 +128,14 @@ def _build_policy(family: str, args, parser, params: ModelParams):
         return local_only_policy(), 0.0
     if family == "mec_only":
         return mec_only_policy(), 0.0
-    try:
-        if family == "age_threshold":
-            if args.astar is None:
-                parser.error("age_threshold requires --astar")
-            return age_threshold_policy(args.astar, params.a_max), float(args.astar)
-        if family == "service_threshold":
-            if args.zstar is None:
-                parser.error("service_threshold requires --zstar >= 0")
-            return service_threshold_policy(args.zstar), float(args.zstar)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if family == "age_threshold":
+        if args.astar is None:
+            parser.error("age_threshold requires --astar")
+        return _checked(parser, age_threshold_policy, args.astar, params.a_max), float(args.astar)
+    if family == "service_threshold":
+        if args.zstar is None:
+            parser.error("service_threshold requires --zstar >= 0")
+        return _checked(parser, service_threshold_policy, args.zstar), float(args.zstar)
     return rvi_solve(params).policy, float(args.lam)
 
 
@@ -142,29 +144,28 @@ def _cmd_eval(args, parser) -> int:
     method = args.method or _METHODS[family][0]
     if method not in _METHODS[family]:
         parser.error(f"method {method!r} is not available for family {family!r}")
-    try:
-        if method == "closed_form":
-            if family == "local_only":
-                res, param = heuristics.local_only(args.mu, args.lam), 0.0
-            elif family == "mec_only":
-                res, param = heuristics.mec_only(args.lam), 0.0
-            else:
-                if args.zstar is None:
-                    parser.error("service_threshold requires --zstar >= 0")
-                res = heuristics.service_threshold_eval(args.mu, args.zstar, args.lam)
-                param = float(args.zstar)
-            p_bar, delta = res.p_bar, res.delta
+    params = _model_params(args, parser)
+    config = _sim_config(args, parser)
+    if method == "closed_form":
+        if family == "local_only":
+            res, param = heuristics.local_only(args.mu, args.lam), 0.0
+        elif family == "mec_only":
+            res, param = heuristics.mec_only(args.lam), 0.0
         else:
-            params = _model_params(args, parser)
-            policy, param = _build_policy(family, args, parser, params)
-            if method == "sim":
-                res = simulate(policy, params, _sim_config(args, args.seed))
-                p_bar, delta = res.p_bar_hat, res.delta_hat
-            else:
-                res = evaluate_exact(policy, params)
-                p_bar, delta = res.p_bar, res.delta
-    except ValueError as exc:
-        parser.error(str(exc))
+            if args.zstar is None:
+                parser.error("service_threshold requires --zstar >= 0")
+            res = _checked(parser, heuristics.service_threshold_eval,
+                           args.mu, args.zstar, args.lam)
+            param = float(args.zstar)
+        p_bar, delta = res.p_bar, res.delta
+    else:
+        policy, param = _build_policy(family, args, parser, params)
+        if method == "sim":
+            res = simulate(policy, params, config)
+            p_bar, delta = res.p_bar_hat, res.delta_hat
+        else:
+            res = evaluate_exact(policy, params)
+            p_bar, delta = res.p_bar, res.delta
     point = FrontierPoint(family, param, args.mu, p_bar, delta, method)
     return _emit(json.dumps(asdict(point)) + "\n", args.out)
 
@@ -212,11 +213,13 @@ def _cmd_frontier(args, parser) -> int:
     if not (args.lambda_count >= 1 and 0 < args.lambda_min < args.lambda_max < math.inf):
         parser.error("need 0 < lambda-min < lambda-max and lambda-count >= 1")
     a_max = _resolve_a_max(args)
+    _checked(parser, ModelParams, mu=args.mu, a_max=a_max)
+    # a range passes when its ends do, so the sweep cannot fail part way
+    for a_star, z_star in ((a_stars[0], z_stars[0]), (a_stars[-1], z_stars[-1])):
+        _checked(parser, age_threshold_policy, a_star, a_max)
+        _checked(parser, heuristics.validate_z_star, z_star, heuristics.Z_STAR_CAP)
     lambdas = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
-    try:
-        points = frontier_points(args.mu, a_stars, z_stars, lambdas, a_max)
-    except ValueError as exc:
-        parser.error(str(exc))
+    points = frontier_points(args.mu, a_stars, z_stars, lambdas, a_max)
     if args.fmt == "csv":
         text = _render_csv(points)
     else:
@@ -243,11 +246,9 @@ def _cmd_rvi(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     params = _model_params(args, parser)
+    config = _sim_config(args, parser)
     policy, param = _build_policy(args.family, args, parser, params)
-    try:
-        res = simulate(policy, params, _sim_config(args, args.seed))
-    except ValueError as exc:
-        parser.error(str(exc))
+    res = simulate(policy, params, config)
     payload = {
         "family": args.family,
         "param": param,
@@ -262,9 +263,8 @@ def _cmd_simulate(args, parser) -> int:
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
-def _verify_checks(args, params: ModelParams) -> dict:
+def _verify_checks(args, params: ModelParams, config: SimConfig, iterates: list) -> dict:
     report = rvi_solve(params)
-    iterates = discounted_vi(params, args.vi_iters)
     if args.inject_corruption:
         mid = params.a_max // 2
         iterates[-1][mid, 0] -= 10.0 * (1 + abs(iterates[-1]).max())
@@ -291,7 +291,7 @@ def _verify_checks(args, params: ModelParams) -> dict:
         })
     for z_star in (0, 2, 5):
         closed = heuristics.service_threshold_eval(args.mu, z_star)
-        cfg = _sim_config(args, args.seed + z_star)
+        cfg = replace(config, seed=config.seed + z_star)
         sres = simulate(service_threshold_policy(z_star), params, cfg)
         ok = (abs(sres.delta_hat - closed.delta) <= max(3 * sres.stderr_delta, 1e-9)
               and abs(sres.p_bar_hat - closed.p_bar) <= max(3 * sres.stderr_p, 1e-9))
@@ -317,18 +317,18 @@ def _verify_checks(args, params: ModelParams) -> dict:
 
 def _cmd_verify(args, parser) -> int:
     params = _model_params(args, parser, beta=args.beta)
-    try:
-        payload = _verify_checks(args, params)
-    except ValueError as exc:  # flags that only the solvers and simulator check
-        parser.error(str(exc))
+    config = _sim_config(args, parser)
+    iterates = _checked(parser, discounted_vi, params, args.vi_iters)
+    payload = _verify_checks(args, params, config, iterates)
     return _emit(json.dumps(payload, indent=2) + "\n", args.out, payload["passed"])
 
 
-def _add_model_flags(sub, mu_default=0.5):
+def _add_model_flags(sub, mu_default=0.5, price=True):
     sub.add_argument("--mu", type=float, default=mu_default,
                      help="local per-slot completion probability")
-    sub.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                     help="price per edge use")
+    if price:
+        sub.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                         help="price per edge use")
     sub.add_argument("--amax", dest="a_max", type=int, default=None,
                      help="age ceiling (default: 50, or 400 when mu < 0.1)")
     sub.add_argument("--config", type=str, default=None,
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_frontier = subs.add_parser("frontier", help="sweep the families onto the age/edge-use plane")
-    _add_model_flags(p_frontier, mu_default=0.01)
+    _add_model_flags(p_frontier, mu_default=0.01, price=False)
     p_frontier.add_argument("--astar-range", type=int, nargs=2, default=(1, 15),
                             metavar=("LO", "HI"))
     p_frontier.add_argument("--zstar-range", type=int, nargs=2, default=(0, 9),
@@ -403,17 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else None
-    if path is None:
-        parser.error("--config requires a path")
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the values of the JSON file at ``path`` every subcommand's defaults."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config {path}: {exc}")
+    if not isinstance(raw, dict):
+        parser.error(f"config {path} must hold a JSON object")
     defaults = {}
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
@@ -425,10 +423,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config(parser, argv)
     args = parser.parse_args(argv)
+    if args.config is not None:  # parse again so that explicit flags win over the file
+        _apply_config(parser, args.config)
+        args = parser.parse_args(argv)
     return args.func(args, parser)
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "OFFLOAD",
     "transitions",
     "cost",
-    "truncated_states",
     "validate_state",
     "validate_rate",
     "validate_price",
@@ -133,12 +132,3 @@ def cost(s: State, u: int, p: ModelParams) -> float:
     _validate_action(u)
     return s.a + 0.5 + p.lam * u
 
-
-def truncated_states(a_max: int) -> list[State]:
-    """All states that can occur from ``(1, 0)`` with ages up to ``a_max``.
-
-    The age at generation ``a - z`` is at least one and is preserved while an
-    update sits in local service, so occurring states satisfy ``z <= a - 1``.
-    Enumeration is row-major over ``a``.
-    """
-    return [State(a, z) for a in range(1, a_max + 1) for z in range(a)]

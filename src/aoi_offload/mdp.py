@@ -53,6 +53,9 @@ __all__ = [
     "default_a_max",
 ]
 
+#: Tolerance of ``verify_structure``'s value checks, relative to 1 + max |value|.
+_STRUCTURE_REL_TOL = 1e-8
+
 
 def default_a_max(mu: float) -> int:
     """Age ceiling generous enough for the policies worth considering: slow
@@ -302,11 +305,7 @@ def _actions_grid(policy: Policy, a_max: int) -> np.ndarray:
     return u
 
 
-def verify_structure(
-    value_iterates: list[np.ndarray],
-    policy: Policy,
-    rel_tol: float = 1e-8,
-) -> StructureReport:
+def verify_structure(value_iterates: list[np.ndarray], policy: Policy) -> StructureReport:
     """Check the structural facts a correct solution must satisfy.
 
     Over every discounted iterate: values are non-decreasing in the age and
@@ -328,7 +327,7 @@ def verify_structure(
     )
     for name, diff_of, (da, dz) in value_checks:
         for k, grid in enumerate(value_iterates):
-            tol = rel_tol * (1.0 + float(np.abs(grid).max()))
+            tol = _STRUCTURE_REL_TOL * (1.0 + float(np.abs(grid).max()))
             arr = diff_of(grid)
             if arr.min() >= -tol:  # most iterates pass; skip the index search on them
                 continue

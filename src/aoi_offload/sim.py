@@ -78,6 +78,8 @@ class SimConfig:
             raise ValueError("warmup must satisfy 0 <= warmup < horizon")
         if self.batches < 10:
             raise ValueError("need at least 10 batches for batch-means errors")
+        if (self.horizon - self.resolved_warmup()) // self.batches < 1:
+            raise ValueError("horizon too short for the requested warmup and batches")
 
     def resolved_warmup(self) -> int:
         return self.horizon // 100 if self.warmup is None else self.warmup
@@ -219,8 +221,6 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
     """
     warmup = config.resolved_warmup()
     batch_size = (config.horizon - warmup) // config.batches
-    if batch_size < 1:
-        raise ValueError("horizon too short for the requested warmup and batches")
     counted = batch_size * config.batches
     total = warmup + counted
     age_sums = np.zeros(config.batches, dtype=np.int64)

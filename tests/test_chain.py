@@ -99,15 +99,16 @@ def test_chain_never_offload_hits_forced_ceiling():
 def test_stationary_two_state_hand_solution():
     chain = build_chain(age_threshold_policy(2, 50), ModelParams(mu=0.5, a_max=50))
     dist = stationary(chain)
-    assert dist.prob(State(1, 0)) == pytest.approx(2.0 / 3.0, abs=1e-10)
-    assert dist.prob(State(2, 1)) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert dist.probs[chain.index[State(1, 0)]] == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert dist.probs[chain.index[State(2, 1)]] == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert dist.residual <= 1e-10
 
 
 def test_stationary_single_state():
     chain = build_chain(mec_only_policy(), ModelParams(mu=0.3, a_max=20))
     dist = stationary(chain)
-    assert dist.as_dict() == {State(1, 0): 1.0}
+    assert dist.states == [State(1, 0)]
+    assert dist.probs[chain.index[State(1, 0)]] == 1.0
 
 
 def test_balance_check_failure_reports_residual():
@@ -168,7 +169,7 @@ def test_reset_state_is_recurrent_under_every_policy():
                 threshold_table_policy((6, 4, 2))):
         chain = build_chain(pol, params)
         dist = stationary(chain)
-        assert dist.prob(State(1, 0)) > 0
+        assert dist.probs[chain.index[State(1, 0)]] > 0
 
 
 def test_lagrangian_cost_uses_price():

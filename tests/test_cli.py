@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from aoi_offload import cli
 from aoi_offload.cli import main
 
 
@@ -73,9 +75,33 @@ def test_eval_optimal_reports_lambda_as_param(capsys):
         ["eval", "--family", "mec_only", "--beta", "5"],
         ["rvi", "--beta", "0.9"],
         ["simulate", "--family", "local_only", "--beta", "0.9"],
+        ["eval", "--family", "mec_only", "--mu", "7", "--amax", "1"],
+        ["eval", "--family", "mec_only", "--mu", "0"],
+        ["eval", "--family", "mec_only", "--horizon", "5"],
+        ["frontier", "--lambda", "5"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "work, argv",
+    [
+        ("rvi_solve", ["verify", "--mu", "0.05", "--horizon", "5"]),
+        ("rvi_solve", ["verify", "--vi-iters", "-1"]),
+        ("frontier_points", ["frontier", "--mu", "0.5", "--amax", "50",
+                             "--astar-range", "1", "51"]),
+        ("frontier_points", ["frontier", "--zstar-range", "0", "2000000"]),
+    ],
+)
+def test_invalid_flags_exit_2_before_any_work(monkeypatch, capsys, work, argv):
+    def work_started(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} called {work} before checking its flags")
+
+    monkeypatch.setattr(cli, work, work_started)
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -182,17 +208,40 @@ def test_simulate_command_roundtrip(tmp_path, capsys):
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu": 0.25, "lambda": 2.0}))
-    code, out, _ = run(capsys, ["eval", "--family", "local_only", "--config", str(cfg)])
-    assert code == 0
-    assert json.loads(out)["delta"] == (4 - 0.25) / (2 * 0.25)
-    code, out, _ = run(capsys, ["eval", "--family", "local_only", "--config", str(cfg),
-                                "--mu", "0.5"])
-    assert json.loads(out)["delta"] == 3.5
+    for config_flags in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        code, out, _ = run(capsys, ["eval", "--family", "local_only", *config_flags])
+        assert code == 0
+        assert json.loads(out)["delta"] == (4 - 0.25) / (2 * 0.25)
+        code, out, _ = run(capsys, ["eval", "--family", "local_only", *config_flags,
+                                    "--mu", "0.5"])
+        assert json.loads(out)["delta"] == 3.5
+        code, out, _ = run(capsys, ["eval", "--family", "local_only", "--mu", "0.5",
+                                    *config_flags])
+        assert json.loads(out)["delta"] == 3.5
+
+
+def test_config_keys_name_registered_flags():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {(option, action.dest)
+             for sub in subparsers.choices.values()
+             for action in sub._actions
+             for option in action.option_strings}
+    for key, dest in cli._CONFIG_KEYS.items():
+        assert (f"--{key}", dest) in flags, key
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--family", "mec_only", "--config", str(cfg)])
+    assert err.value.code == 2
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1, 2]))
     with pytest.raises(SystemExit) as err:
         main(["eval", "--family", "mec_only", "--config", str(cfg)])
     assert err.value.code == 2

@@ -9,7 +9,6 @@ from aoi_offload.core import (
     State,
     cost,
     transitions,
-    truncated_states,
 )
 
 
@@ -88,13 +87,6 @@ def test_invalid_states_and_actions_rejected():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
-
-
-def test_truncated_states_are_the_occurring_triangle():
-    states = truncated_states(6)
-    assert len(states) == 6 * 7 // 2
-    assert all(s.a >= s.z + 1 for s in states)
-    assert states[0] == RESET
 
 
 def test_reachable_set_stays_in_triangle():

@@ -298,8 +298,8 @@ def test_reset_occupancy_matches_stationary_distribution():
     n = 200_000
     states = replay_states(pol, params.mu, seed=33, n=n)
     frac = sum(1 for s in states if s == (1, 0)) / n
-    dist = stationary(build_chain(pol, params))
-    pi_reset = dist.prob(State(1, 0))
+    chain = build_chain(pol, params)
+    pi_reset = stationary(chain).probs[chain.index[State(1, 0)]]
     se = math.sqrt(pi_reset * (1 - pi_reset) / n) * 3  # iid bound, generous scale
     assert abs(frac - pi_reset) <= 3 * se
 
@@ -312,7 +312,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon=100, seed=1, batches=5)
     with pytest.raises(ValueError):
-        simulate(mec_only_policy(), ModelParams(mu=0.5), SimConfig(horizon=15, seed=1, warmup=10))
+        SimConfig(horizon=15, seed=1, warmup=10)
 
 
 def test_warmup_defaults_to_one_percent():
