@@ -17,11 +17,11 @@ gives the long-run average age ``delta = E[a] + 1/2`` and the edge-use
 frequency ``p_bar`` exactly.  This makes the module the reference evaluator
 for every policy family.
 
-All built-in policies are threshold-form: per service column ``z`` they
-store the least age at which they offload.  That single representation
-covers never-offload (threshold ``NEVER_OFFLOAD``), always-offload
-(threshold 1), age thresholds, service thresholds (offload at every
-occurring age once ``z >= z_star``) and the solver's optimal tables.
+A policy is a threshold table: per service column ``z`` it stores the least
+age at which it offloads.  That one representation covers never-offload
+(threshold ``NEVER_OFFLOAD``), always-offload (threshold 1), age and service
+thresholds and the solver's optimal tables.  ``abort_rule`` is the one
+reader that turns a table into abort indices, for evaluator and simulator.
 
 ``build_chain`` expands a policy into the full ``(a, z)`` chain from the
 one-slot kernel, independently of the abort indices, and keeps its
@@ -37,7 +37,7 @@ policies loads numpy alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -54,8 +54,8 @@ __all__ = [
     "local_only_policy",
     "mec_only_policy",
     "threshold_table_policy",
+    "abort_rule",
     "abort_indices",
-    "abort_indices_at",
     "occurring_ages",
     "delivery_matrix",
     "ChainModel",
@@ -72,38 +72,25 @@ NEVER_OFFLOAD = 2**31
 
 @dataclass(frozen=True)
 class Policy:
-    """Stationary deterministic action rule, total on every state.
-
-    Threshold-form policies store one age threshold per service column; the
-    last entry applies to all larger ``z``.  Arbitrary rules can instead
-    supply ``action_fn``; those lose threshold introspection but evaluate
-    and simulate exactly the same way, since the evaluator and the simulator
-    read every policy through its abort indices.
-    """
+    """Stationary deterministic action rule, total on every state: a table of
+    one age threshold per service column, offloading in ``(a, z)`` iff
+    ``a >= thresholds[z]``; the last entry applies to all larger ``z``.  The
+    evaluator and the simulator read it only through ``abort_rule``."""
 
     name: str
-    thresholds: tuple[int, ...] | None = None
-    action_fn: Callable[[int, int], int] | None = field(default=None, compare=False)
+    thresholds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if (self.thresholds is None) == (self.action_fn is None):
-            raise ValueError("exactly one of thresholds/action_fn must be given")
-        if self.thresholds is not None:
-            if len(self.thresholds) == 0:
-                raise ValueError("threshold table must not be empty")
-            if any(int(t) != t or t < 1 for t in self.thresholds):
-                raise ValueError("thresholds must be integers >= 1")
+        if len(self.thresholds) == 0:
+            raise ValueError("threshold table must not be empty")
+        if any(int(t) != t or t < 1 for t in self.thresholds):
+            raise ValueError("thresholds must be integers >= 1")
 
     def action(self, a: int, z: int) -> int:
-        if self.thresholds is not None:
-            t = self.thresholds[z] if z < len(self.thresholds) else self.thresholds[-1]
-            return 1 if a >= t else 0
-        return 1 if self.action_fn(a, z) else 0
+        return 1 if a >= self.threshold(z) else 0
 
-    def threshold(self, z: int) -> int | None:
-        """Offload age at service column ``z`` for threshold-form policies."""
-        if self.thresholds is None:
-            return None
+    def threshold(self, z: int) -> int:
+        """Offload age at service column ``z``."""
         return self.thresholds[z] if z < len(self.thresholds) else self.thresholds[-1]
 
 
@@ -146,36 +133,33 @@ def threshold_table_policy(table, name: str | None = None) -> Policy:
     return Policy(name=name or "threshold_table", thresholds=tuple(int(t) for t in table))
 
 
-def abort_indices_at(policy: Policy, ages, caps) -> np.ndarray:
-    """Abort index ``k_d`` of ``policy`` at each delivered age ``d`` in
-    ``ages``, capped at the matching entry of ``caps``.
-
-    ``k_d`` is the least ``j`` at which the policy offloads in state
-    ``(d + j, j)``.  An ``action_fn`` policy is asked only about the states
-    ``j < cap`` of the given ages.
-    """
-    ages = np.asarray(ages, dtype=np.int64)
-    if policy.thresholds is None:
-        caps = np.broadcast_to(caps, ages.shape)
-        return np.array([next((j for j in range(c) if policy.action(d + j, j)), c)
-                         for d, c in zip(ages.tolist(), caps.tolist())], dtype=np.int64)
+def abort_rule(policy: Policy) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Abort index ``k_d`` of ``policy``, the least ``j`` at which it offloads
+    in state ``(d + j, j)``, as a function ``at(ages, caps)`` of the delivered
+    ages, capped at ``caps``.  The table is read here, once, not per call."""
     table = np.asarray(policy.thresholds, dtype=np.int64)
     # (d + z, z) offloads iff d >= t_z - z; the running minimum of t_z - z is
     # the least delivered age whose cycle has offloaded by slot z.  Past the
     # table it is t_last - z, which reaches a smaller d at z = t_last - d.
     least_age = np.minimum.accumulate(table - np.arange(table.size))
-    k = np.searchsorted(-least_age, -ages)
-    if least_age[-1] > 1:  # else every delivered age offloads within the table
-        beyond = ages < least_age[-1]
-        k[beyond] = table[-1] - ages[beyond]
-    return np.minimum(k, caps)
+    rising = least_age[::-1].copy()
+
+    def at(ages, caps) -> np.ndarray:
+        ages = np.asarray(ages, dtype=np.int64)
+        # k_d counts the columns whose least age is above d
+        k = table.size - np.searchsorted(rising, ages, side="right")
+        if least_age[-1] > 1:  # else every delivered age offloads within the table
+            np.copyto(k, table[-1] - ages, where=ages < least_age[-1])
+        return np.minimum(k, caps)
+
+    return at
 
 
 def abort_indices(policy: Policy, a_max: int) -> np.ndarray:
     """Abort index ``k_d`` of ``policy`` for ``d = 1..a_max`` (entry ``d - 1``),
     capped at ``a_max - d`` where the ceiling forces the offload."""
     d = np.arange(1, a_max + 1)
-    return abort_indices_at(policy, d, a_max - d)
+    return abort_rule(policy)(d, a_max - d)
 
 
 def occurring_ages(k: np.ndarray) -> int:

@@ -292,15 +292,8 @@ class StructureReport:
 def _actions_grid(policy: Policy, a_max: int) -> np.ndarray:
     """Actions ``[a - 1, z]`` of ``policy`` in the truncated model, where the
     ceiling row offloads whatever the policy says."""
-    ages = np.arange(1, a_max + 1)
-    if policy.thresholds is not None:
-        thr = np.array([policy.threshold(z) for z in range(a_max)])
-        u = ages[:, None] >= thr[None, :]
-    else:
-        u = np.zeros((a_max, a_max), dtype=bool)
-        for i, a in enumerate(ages):
-            for z in range(a_max):
-                u[i, z] = bool(policy.action(int(a), z))
+    thr = np.array([policy.threshold(z) for z in range(a_max)])
+    u = np.arange(1, a_max + 1)[:, None] >= thr[None, :]
     u[-1, :] = True
     return u
 

@@ -13,10 +13,11 @@ ends a delivery cycle whatever the action (it delivers under action 0 and
 offloads under action 1), so these success slots cut the run into segments
 that do not depend on the policy.  A segment starts from a delivered age
 ``d``; its first cycle runs to the abort index ``k_d`` (from
-``chain.abort_indices_at``, the one policy representation), after which
-cycles from ``(1, 0)`` repeat with period ``k_1 + 1``.  Every slot's age
-and action inside a segment follow in closed form, and the delivered age
-that starts the next segment is a function of ``d`` and the segment length.
+``chain.abort_rule``, the one reader of the policy's threshold table),
+after which cycles from ``(1, 0)`` repeat with period ``k_1 + 1``.  Every
+slot's age and action inside a segment follow in closed form, and the
+delivered age that starts the next segment is a function of ``d`` and the
+segment length.
 
 Reproducibility contract: the slot-n uniform is a pure function of
 ``(seed, n)`` via splitmix64 in counter mode,
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Policy, abort_indices_at
+from .chain import Policy, abort_rule
 from .core import ModelParams
 
 __all__ = [
@@ -122,39 +123,6 @@ def batch_stderr(batch_means) -> float:
     return float(means.std(ddof=1) / math.sqrt(means.size))
 
 
-class _AbortIndices:
-    """Abort indices of ``policy`` at unbounded delivered ages, derived on
-    demand by ``abort_indices_at`` and memoised across chunks.
-
-    ``k[d]`` is ``k_d`` wherever ``k_d < known[d]``; otherwise both equal
-    ``known[d]``, the number of service slots of age ``d``'s cycle derived
-    so far, and ``k_d`` is only known not to be smaller.
-    """
-
-    def __init__(self, policy: Policy):
-        self.policy = policy
-        self.k = np.zeros(1, dtype=np.int64)  # entry 0 unused
-        self.known = np.zeros(1, dtype=np.int64)
-
-    def __call__(self, d: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """``k_d`` wherever it is below ``bound``, otherwise a value >= ``bound``."""
-        if d.max() >= self.k.size:
-            grow = max(2 * self.k.size, int(d.max()) + 1) - self.k.size
-            self.k = np.append(self.k, np.zeros(grow, dtype=np.int64))
-            self.known = np.append(self.known, np.zeros(grow, dtype=np.int64))
-        k, known = self.k[d], self.known[d]
-        short = (k == known) & (known < bound)
-        if short.any():
-            need = np.zeros(self.k.size, dtype=np.int64)
-            np.maximum.at(need, d[short], bound[short])
-            ages = np.flatnonzero(need)
-            caps = np.maximum(need[ages], 2 * self.known[ages])  # regrowth at most doubles
-            self.k[ages] = abort_indices_at(self.policy, ages, caps)
-            self.known[ages] = caps
-            k = self.k[d]
-        return k
-
-
 def _service_after(k, n, k1):
     """Service slots of the open cycle after the first ``n`` slots that
     follow a delivery with abort index ``k``, when none of them is a
@@ -166,32 +134,34 @@ def _service_after(k, n, k1):
     return np.where(n <= k, n, (n - k - 1) % (k1 + 1))
 
 
-def _chunk(success: np.ndarray, aborts: _AbortIndices, d: int, z: int):
+def _chunk(success: np.ndarray, abort_at, d: int, z: int):
     """Ages and actions of the slots of one chunk, whose success slots are
     the true entries of ``success``, starting in the open cycle ``(d, z)``
-    (delivered age, service slots so far); also the open cycle it leaves."""
+    (delivered age, service slots so far); also the open cycle it leaves.
+    ``abort_at`` is the policy's ``abort_rule``: capping ``k_d`` at a
+    segment's slot count loses nothing that segment can tell apart."""
     ends = np.append(np.flatnonzero(success) + 1, success.size)
     length = np.diff(ends, prepend=0)
     # slots of each segment's first cycle up to its end; the first segment
     # continues the open cycle, z of whose slots came before the chunk
     n = length.copy()
     n[0] += z
-    k1 = aborts(np.ones(1, dtype=np.int64), n.max(keepdims=True))[0]
+    k1 = abort_at(np.ones(1, dtype=np.int64), n.max(keepdims=True))[0]
     # delivered age at the start of each segment: guess that every segment
     # ends in a delivery, then fix entries until nothing moves; round t makes
-    # the first t entries exact
+    # the first t entries exact.  k follows ds: only moved entries are re-read
     ds = np.append(d, n[:-1])
+    k = abort_at(ds, n)
     todo = np.arange(1, ds.size)
     while todo.size:
         prev = todo - 1
-        n_prev = n[prev]
-        new = np.maximum(_service_after(aborts(ds[prev], n_prev), n_prev, k1), 1)
+        new = np.maximum(_service_after(k[prev], n[prev], k1), 1)
         moved = new != ds[todo]
         todo = todo[moved]
         ds[todo] = new[moved]
+        k[todo] = abort_at(ds[todo], n[todo])
         todo += 1
         todo = todo[todo < ds.size]
-    k = aborts(ds, n)
     # t counts slots since each segment's first offload: t < 0 on its first
     # cycle, whose offload slot is t = -1; later cycles are at phase j.  The
     # age array is built in place to keep memory flat.
@@ -212,10 +182,11 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
     """Monte Carlo estimate of (delta, p_bar) with batch-means errors.
 
     The run goes in chunks of ``_CHUNK`` slots, cut into success segments
-    (see the module docstring).  The delivered ages that start the segments
-    of a chunk solve one recursion by vectorised fixed-point rounds; the
-    chunk's ages and actions then follow in closed form, and their
-    post-warmup part goes into the batch totals by one exact integer
+    (see the module docstring); the policy's threshold table is read once
+    per run, by ``chain.abort_rule``.  The delivered ages that start the
+    segments of a chunk solve one recursion by vectorised fixed-point
+    rounds; the chunk's ages and actions then follow in closed form, and
+    their post-warmup part goes into the batch totals by one exact integer
     reduction (``np.add.reduceat``).  The last segment's open cycle carries
     into the next chunk.  No age ceiling applies.
     """
@@ -225,11 +196,11 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
     total = warmup + counted
     age_sums = np.zeros(config.batches, dtype=np.int64)
     mec_sums = np.zeros(config.batches, dtype=np.int64)
-    aborts = _AbortIndices(policy)
+    abort_at = abort_rule(policy)
     d, z = 1, 0
     for pos in range(0, total, _CHUNK):
         success = uniforms(config.seed, pos, min(_CHUNK, total - pos)) < params.mu
-        ages, acts, d, z = _chunk(success, aborts, d, z)
+        ages, acts, d, z = _chunk(success, abort_at, d, z)
         skip = max(warmup - pos, 0)  # warmup slots at the head of the chunk
         if skip >= success.size:
             continue

@@ -46,11 +46,9 @@ def test_service_threshold_actions():
 
 def test_policy_requires_exactly_one_rule():
     with pytest.raises(ValueError):
-        Policy(name="bad")
-    with pytest.raises(ValueError):
-        Policy(name="bad", thresholds=(2,), action_fn=lambda a, z: 0)
-    with pytest.raises(ValueError):
         Policy(name="bad", thresholds=())
+    with pytest.raises(ValueError):
+        Policy(name="bad", thresholds=(3, 0))
 
 
 def test_chain_rows_for_small_age_threshold():
@@ -176,12 +174,3 @@ def test_lagrangian_cost_uses_price():
     params = ModelParams(mu=0.5, lam=3.0, a_max=50)
     res = evaluate_exact(service_threshold_policy(1), params)
     assert res.g == pytest.approx(res.delta + 3.0 * res.p_bar, abs=1e-12)
-
-
-def test_callable_policy_evaluates_like_threshold_form():
-    params = ModelParams(mu=0.5, a_max=30)
-    table = threshold_table_policy((5, 3, 2))
-    wrapped = Policy(name="wrapped", action_fn=table.action)
-    a = evaluate_exact(table, params)
-    b = evaluate_exact(wrapped, params)
-    assert a == b

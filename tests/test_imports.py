@@ -1,6 +1,9 @@
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import aoi_offload
 
@@ -34,3 +37,11 @@ def test_scipy_loads_only_for_the_sparse_chain():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("module", ["aoi_offload", "aoi_offload.core", "aoi_offload.heuristics",
+                                    "aoi_offload.chain", "aoi_offload.mdp", "aoi_offload.sim",
+                                    "aoi_offload.cli"])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from aoi_offload.chain import (
     age_threshold_policy,
@@ -95,19 +97,15 @@ def test_corrupted_values_are_caught_with_witness():
     assert witness is not None
 
 
-def test_non_threshold_policy_is_caught():
-    params = ModelParams(mu=0.5, lam=3.0, beta=0.99, a_max=10)
-    iterates = discounted_vi(params, 5)
-
-    def holey(a, z):  # offloads at age 4 but not at age 5
-        return 1 if (a == 4 or a >= 6) else 0
-
-    from aoi_offload.chain import Policy
-
-    sr = verify_structure(iterates, Policy(name="holey", action_fn=holey))
-    failed = {c.name for c in sr.failures()}
-    assert "offload_upward_closed_in_age" in failed
-    assert "policy_is_threshold_table" in failed
+def test_rising_table_is_caught():
+    # offloads at age 2 in column 0 but keeps working there in column 1: the
+    # two policy checks a threshold table can fail
+    iterates = discounted_vi(ModelParams(mu=0.5, lam=3, a_max=10), 5)
+    sr = verify_structure(iterates, threshold_table_policy((2, 5)))
+    assert {c.name: c.witness for c in sr.failures()} == {
+        "offload_upward_closed_in_service": State(2, 1),
+        "thresholds_nonincreasing": State(5, 1),
+    }
 
 
 @pytest.mark.parametrize("policy", [local_only_policy(), mec_only_policy(),
@@ -201,6 +199,26 @@ def test_sweep_matches_cold_solves_and_orders_prices():
         assert report.g == pytest.approx(cold.g, abs=1e-8)
     gains = [r.g for _, r in sweep]
     assert gains == sorted(gains)  # a pricier edge cannot lower the optimal cost
+
+
+# no shrink phase, so that a failure reports in seconds
+@settings(max_examples=20, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(mu=st.floats(0.05, 0.95), a_max=st.integers(8, 30),
+       prices=st.lists(st.floats(0.0, 20.0), min_size=5, max_size=5, unique=True))
+def test_optimal_gain_is_concave_in_the_price(mu, a_max, prices):
+    # g(lam) is a minimum of the affine delta + lam * p_bar over policies, so
+    # the optimal p_bar bounds every chord slope from both sides:
+    # p_bar(lam_i) >= (g_{i+1} - g_i) / (lam_{i+1} - lam_i) >= p_bar(lam_{i+1})
+    sweep = sweep_lambdas(mu, prices, a_max)
+    lams = [lam for lam, _ in sweep]
+    gains = [report.g for _, report in sweep]
+    p_bars = [evaluate_exact(report.policy, ModelParams(mu=mu, lam=lam, a_max=a_max)).p_bar
+              for lam, report in sweep]
+    for i in range(len(sweep) - 1):
+        step, rise = lams[i + 1] - lams[i], gains[i + 1] - gains[i]
+        assert rise >= -1e-9
+        assert p_bars[i] * step + 1e-9 >= rise >= p_bars[i + 1] * step - 1e-9
 
 
 def test_threshold_trimming_stops_at_saturated_column():

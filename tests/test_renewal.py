@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_offload.chain import (
-    Policy,
     abort_indices,
     age_threshold_policy,
     build_chain,
@@ -52,7 +51,8 @@ POLICIES = (
      service_threshold_policy(3), service_threshold_policy(12)]
     + [age_threshold_policy(a, A_MAX) for a in (1, 2, 5, A_MAX)]
     + [threshold_table_policy(t) for t in random_tables(7, 6)]
-    + [Policy(name="diagonal", action_fn=lambda a, z: a + 2 * z >= 9)]
+    # the rule a + 2z >= 9, written as its table
+    + [pytest.param(threshold_table_policy((9, 7, 5, 3, 1), name="diagonal"), id="diagonal")]
 )
 
 
@@ -66,13 +66,6 @@ def test_renewal_evaluator_matches_full_chain(mu, policy):
     # the reference snaps stationary masses below 1e-15 to zero, which can
     # drop a ceiling-offload share of that order
     assert res.p_bar == pytest.approx(p_bar, rel=1e-9, abs=1e-12)
-
-
-def test_abort_indices_of_a_table_match_its_action_function():
-    for table in random_tables(11, 20):
-        policy = threshold_table_policy(table)
-        wrapped = Policy(name="wrapped", action_fn=policy.action)
-        assert np.array_equal(abort_indices(policy, A_MAX), abort_indices(wrapped, A_MAX))
 
 
 def test_abort_indices_are_capped_by_the_ceiling():

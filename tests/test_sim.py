@@ -1,13 +1,13 @@
 import math
-import time
 
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from aoi_offload import sim as sim_module
 from aoi_offload.chain import (
-    Policy,
+    abort_rule,
     age_threshold_policy,
     build_chain,
     local_only_policy,
@@ -111,14 +111,6 @@ def test_identical_runs_are_bit_identical():
     assert c != a
 
 
-def test_fast_table_path_equals_callable_path():
-    table = threshold_table_policy((6, 4, 2))
-    wrapped = Policy(name="wrapped", action_fn=table.action)
-    cfg = SimConfig(horizon=100_000, seed=3)
-    params = ModelParams(mu=0.35)
-    assert simulate(table, params, cfg) == simulate(wrapped, params, cfg)
-
-
 def test_kernel_agrees_with_replay():
     pol = threshold_table_policy((5, 3, 2))
     params = ModelParams(mu=0.45)
@@ -134,7 +126,7 @@ def test_kernel_agrees_with_replay():
 
 @pytest.mark.parametrize("policy", [
     threshold_table_policy((5, 3, 2)),
-    Policy(name="diagonal", action_fn=lambda a, z: a + 2 * z >= 9),
+    threshold_table_policy((9, 7, 5, 3, 1), name="diagonal"),
 ], ids=lambda p: p.name)
 def test_batch_sums_match_replay(policy):
     # warmup, batch size and chunk size align with none of each other, and
@@ -182,20 +174,16 @@ def replay_result(policy, mu, cfg):
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(
     table=st.lists(st.integers(1, 12), min_size=1, max_size=5),
-    as_function=st.booleans(),
     mu=st.floats(0.005, 1.0),
     seed=st.integers(0, 2**64 - 1),
     warmup=st.integers(1, 2 * _CHUNK),
     span=st.integers(_CHUNK + 100, 2 * _CHUNK),
     batches=st.integers(10, 23),
 )
-def test_kernel_matches_replay_on_random_tables(table, as_function, mu, seed, warmup, span,
-                                                batches):
+def test_kernel_matches_replay_on_random_tables(table, mu, seed, warmup, span, batches):
     # tables of length 1 are age thresholds; longer ones make k_d depend on d
-    # in other ways; the callable wrapper derives the same k_d lazily
+    # in other ways
     policy = threshold_table_policy(table)
-    if as_function:
-        policy = Policy(name="wrapped", action_fn=policy.action)
     cfg = SimConfig(horizon=warmup + span, seed=seed, warmup=warmup, batches=batches)
     size = span // batches
     assume(_CHUNK % size and warmup % size and warmup % _CHUNK)
@@ -209,7 +197,7 @@ def test_success_on_the_last_slot_of_a_chunk():
                 and uniforms(s, 2 * _CHUNK - 1, 1)[0] < mu)
     cfg = SimConfig(horizon=3 * _CHUNK + 17, seed=seed, warmup=1_001, batches=13)
     for policy in (threshold_table_policy((5, 3, 2)), service_threshold_policy(2),
-                   Policy(name="diagonal", action_fn=lambda a, z: a + 2 * z >= 9)):
+                   threshold_table_policy((9, 7, 5, 3, 1), name="diagonal")):
         assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
 
 
@@ -233,30 +221,29 @@ def test_cycle_carried_across_chunks(policy):
     local_only_policy(),
     mec_only_policy(),
     service_threshold_policy(1),
-    Policy(name="diagonal", action_fn=lambda a, z: a + 2 * z >= 9),
+    threshold_table_policy((9, 7, 5, 3, 1), name="diagonal"),
 ], ids=lambda p: p.name)
 def test_every_slot_succeeds_at_mu_one(policy):
     cfg = SimConfig(horizon=2 * _CHUNK + 5, seed=8, warmup=3, batches=10)
     assert simulate(policy, ModelParams(mu=1.0), cfg) == replay_result(policy, 1.0, cfg)
 
 
-def test_action_function_is_asked_only_as_far_as_segments_need():
+def test_a_huge_table_is_read_once_per_run(monkeypatch):
     calls = 0
 
-    def never(a, z):
+    def counting(policy):
         nonlocal calls
         calls += 1
-        return 0
+        return abort_rule(policy)
 
-    params = ModelParams(mu=0.001)
-    cfg = SimConfig(horizon=4 * _CHUNK, seed=4)
-    start = time.perf_counter()
-    res = simulate(Policy(name="never", action_fn=never), params, cfg)
-    elapsed = time.perf_counter() - start
-    assert res == simulate(local_only_policy(), params, cfg)
-    # an eager scan up to the cap at every age would ask ~1e7 times
-    assert calls <= 3 * cfg.horizon
-    assert elapsed < 1.0
+    monkeypatch.setattr(sim_module, "abort_rule", counting)
+    params, cfg = ModelParams(mu=0.01), SimConfig(horizon=200_000, seed=1)
+    # no cycle of the run lasts 10**6 slots, so the table acts as local-only;
+    # its 10**6 + 1 entries are read once, not once per chunk
+    huge = simulate(service_threshold_policy(10**6), params, cfg)
+    assert calls == 1
+    assert huge == simulate(local_only_policy(), params, cfg)
+    assert calls == 2
 
 
 def test_batch_stderr_basics():
