@@ -5,17 +5,17 @@ starts in state ``(d, 0)`` right after an update of age ``d`` is delivered,
 and its slots visit ``(d + j, j)`` for ``j = 0, 1, ...`` until the local
 server finishes (delivering age ``j + 1``) or the policy aborts and offloads
 (delivering age 1).  On those states a deterministic policy is just an abort
-index ``k_d``: work locally for at most ``k_d`` slots, then offload.  The age
-ceiling caps it at ``a_max - d``, where the offload is forced; the simulator,
-which has no ceiling, derives it at the ages and caps it needs.
+index ``k_d``: work locally for at most ``k_d`` slots, then offload.  Only
+the evaluator caps it, at ``a_max - d`` where its age ceiling forces the
+offload; the simulator has no ceiling and reads ``k_d`` uncapped.
 
 The abort indices define a Markov chain on ``d`` with ``a_max`` states: from
 ``d`` it moves to ``j + 1`` with probability ``mu (1 - mu)**j`` for
 ``j < k_d``, and to 1 with probability ``(1 - mu)**k_d``.  One dense
-stationary solve of that chain, lifted to the states of the full chain,
-gives the long-run average age ``delta = E[a] + 1/2`` and the edge-use
-frequency ``p_bar`` exactly.  This makes the module the reference evaluator
-for every policy family.
+stationary solve of that chain (``delivery_stationary``, shared with the
+solver's oracle), lifted to the states of the full chain, gives the
+long-run average age ``delta = E[a] + 1/2`` and the edge-use frequency
+``p_bar`` exactly: the reference evaluator for every policy family.
 
 A policy is a threshold table: per service column ``z`` it stores the least
 age at which it offloads.  That one representation covers never-offload
@@ -58,6 +58,7 @@ __all__ = [
     "abort_indices",
     "occurring_ages",
     "delivery_matrix",
+    "delivery_stationary",
     "ChainModel",
     "build_chain",
     "StationaryDistribution",
@@ -130,13 +131,16 @@ def mec_only_policy() -> Policy:
 
 
 def threshold_table_policy(table, name: str | None = None) -> Policy:
-    return Policy(name=name or "threshold_table", thresholds=tuple(int(t) for t in table))
+    """Policy of ``table``; a non-integer entry raises as in ``Policy``."""
+    return Policy(name=name or "threshold_table",
+                  thresholds=tuple(int(t) if int(t) == t else t for t in table))
 
 
-def abort_rule(policy: Policy) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def abort_rule(policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
     """Abort index ``k_d`` of ``policy``, the least ``j`` at which it offloads
-    in state ``(d + j, j)``, as a function ``at(ages, caps)`` of the delivered
-    ages, capped at ``caps``.  The table is read here, once, not per call."""
+    in state ``(d + j, j)``, as a function ``at(ages)`` of the delivered ages;
+    uncapped, it reaches ``NEVER_OFFLOAD - d`` for a table that never
+    offloads.  The table is read here, once, not per call."""
     table = np.asarray(policy.thresholds, dtype=np.int64)
     # (d + z, z) offloads iff d >= t_z - z; the running minimum of t_z - z is
     # the least delivered age whose cycle has offloaded by slot z.  Past the
@@ -144,22 +148,22 @@ def abort_rule(policy: Policy) -> Callable[[np.ndarray, np.ndarray], np.ndarray]
     least_age = np.minimum.accumulate(table - np.arange(table.size))
     rising = least_age[::-1].copy()
 
-    def at(ages, caps) -> np.ndarray:
+    def at(ages) -> np.ndarray:
         ages = np.asarray(ages, dtype=np.int64)
         # k_d counts the columns whose least age is above d
         k = table.size - np.searchsorted(rising, ages, side="right")
         if least_age[-1] > 1:  # else every delivered age offloads within the table
             np.copyto(k, table[-1] - ages, where=ages < least_age[-1])
-        return np.minimum(k, caps)
+        return k
 
     return at
 
 
 def abort_indices(policy: Policy, a_max: int) -> np.ndarray:
     """Abort index ``k_d`` of ``policy`` for ``d = 1..a_max`` (entry ``d - 1``),
-    capped at ``a_max - d`` where the ceiling forces the offload."""
+    capped at ``a_max - d``, where the evaluator's ceiling forces the offload."""
     d = np.arange(1, a_max + 1)
-    return abort_rule(policy)(d, a_max - d)
+    return np.minimum(abort_rule(policy)(d), a_max - d)
 
 
 def occurring_ages(k: np.ndarray) -> int:
@@ -187,6 +191,16 @@ def delivery_matrix(k: np.ndarray, mu: float) -> np.ndarray:
     trans = np.where(np.arange(r) < k[..., None], mu * w[:-1], 0.0)
     trans[..., 0] += w[k]
     return trans
+
+
+def delivery_stationary(k: np.ndarray, mu: float) -> np.ndarray:
+    """Stationary vector ``nu[..., d - 1]`` of ``delivery_matrix(k, mu)``,
+    batched over the leading axes of ``k``: one dense solve of the balance
+    equations, the first of them replaced by the normalisation."""
+    r = k.shape[-1]
+    balance = np.swapaxes(delivery_matrix(k, mu), -1, -2) - np.eye(r)
+    balance[..., 0, :] = 1.0
+    return np.linalg.solve(balance, np.eye(r)[0])
 
 
 @dataclass
@@ -320,12 +334,7 @@ def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
     certifies the reduction on every call.
     """
     k = abort_indices(policy, params.a_max)
-    r = occurring_ages(k)
-    balance = delivery_matrix(k[:r], params.mu).T - np.eye(r)
-    balance[0, :] = 1.0  # one balance equation replaced by the normalisation
-    rhs = np.zeros(r)
-    rhs[0] = 1.0
-    nu = np.linalg.solve(balance, rhs)
+    nu = delivery_stationary(k[: occurring_ages(k)], params.mu)
     chain = build_chain(policy, params)
     ages, service = np.array(chain.states).reshape(-1, 2).T
     pi = nu[ages - service - 1] * (1.0 - params.mu) ** service

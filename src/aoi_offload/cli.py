@@ -217,7 +217,7 @@ def _cmd_frontier(args, parser) -> int:
     # a range passes when its ends do, so the sweep cannot fail part way
     for a_star, z_star in ((a_stars[0], z_stars[0]), (a_stars[-1], z_stars[-1])):
         _checked(parser, age_threshold_policy, a_star, a_max)
-        _checked(parser, heuristics.validate_z_star, z_star, heuristics.Z_STAR_CAP)
+        _checked(parser, heuristics.validate_z_star, z_star)
     lambdas = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
     points = frontier_points(args.mu, a_stars, z_stars, lambdas, a_max)
     if args.fmt == "csv":
@@ -229,7 +229,7 @@ def _cmd_frontier(args, parser) -> int:
 
 def _cmd_rvi(args, parser) -> int:
     params = _model_params(args, parser)
-    report = rvi_solve(params, tol=args.tol, max_iters=args.max_iters)
+    report = rvi_solve(params)
     payload = {
         "mu": args.mu,
         "lambda": args.lam,
@@ -393,11 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rvi = subs.add_parser("rvi", help="solve for the optimal policy")
     _add_model_flags(p_rvi)
-    p_rvi.add_argument("--tol", type=float, default=1e-10,
-                       help="relative value decrease a policy-iteration step needs to change an "
-                            "abort index")
-    p_rvi.add_argument("--max-iters", type=int, default=100_000,
-                       help="budget of policy-improvement steps")
     p_rvi.set_defaults(func=_cmd_rvi)
 
     return parser

@@ -17,7 +17,6 @@ cycle are independent, giving ``delta = E[Y] + E[S^2] / (2 E[S])``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import validate_price, validate_rate
@@ -62,11 +61,12 @@ class ServiceMoments:
     e_y: float
 
 
-def validate_z_star(z_star: int, cap: float = math.inf) -> None:
+def validate_z_star(z_star: int) -> None:
+    """Reject a service threshold outside the integers ``0..Z_STAR_CAP``."""
     if int(z_star) != z_star or z_star < 0:
         raise ValueError(f"z_star must be a non-negative integer, got {z_star}")
-    if z_star > cap:
-        raise ValueError(f"z_star {z_star} exceeds the supported cap {cap}")
+    if z_star > Z_STAR_CAP:
+        raise ValueError(f"z_star {z_star} exceeds the supported cap {Z_STAR_CAP}")
 
 
 def local_only(mu: float, lam: float = 0.0) -> EvalResult:
@@ -98,7 +98,7 @@ def service_moments(mu: float, z_star: int) -> ServiceMoments:
                  + (1 - q z_star - q) / mu + q z_star + q
     """
     validate_rate(mu)
-    validate_z_star(z_star, Z_STAR_CAP)
+    validate_z_star(z_star)
     if z_star == 0 or mu == 1.0:
         # every cycle is a single slot (abort immediately, or the local
         # processor never needs more), so S = Y = 1 identically

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ModelParams, State
-from .chain import Policy, delivery_matrix, threshold_table_policy
+from .chain import Policy, delivery_matrix, delivery_stationary, threshold_table_policy
 from .chain import evaluate_exact  # noqa: F401  -- perfbench/tracing.py patches it at this name
 
 __all__ = [
@@ -56,6 +56,11 @@ __all__ = [
 #: Tolerance of ``verify_structure``'s value checks, relative to 1 + max |value|.
 _STRUCTURE_REL_TOL = 1e-8
 
+#: Policy iteration's stopping rule: the value decrease, relative to 1 + |value|,
+#: that changes an abort index, and a step guard ``SolveReport.converged`` reports.
+_IMPROVE_REL_TOL = 1e-10
+_MAX_STEPS = 100_000
+
 
 def default_a_max(mu: float) -> int:
     """Age ceiling generous enough for the policies worth considering: slow
@@ -67,22 +72,30 @@ def default_a_max(mu: float) -> int:
 class SolveReport:
     """Converged policy with its average cost and per-column thresholds.
 
-    ``thresholds`` is trimmed at the first saturated column (one whose
-    threshold already fires at every occurring age); ``full_thresholds``
-    keeps all ``a_max`` columns.  ``threshold_exact`` records whether the
-    greedy action grid was exactly an age-threshold table per column.
+    Both threshold views read the policy's table: ``full_thresholds`` whole,
+    ``thresholds`` trimmed at the first saturated column (one whose threshold
+    already fires at every occurring age).  ``threshold_exact`` records
+    whether the greedy action grid was exactly an age-threshold table.
     """
 
     policy: Policy
     g: float
-    thresholds: dict[int, int]
     iterations: int
     span_residual: float
     converged: bool
     values: np.ndarray | None = None
     action_grid: np.ndarray | None = None
     threshold_exact: bool = True
-    full_thresholds: tuple[int, ...] = ()
+
+    @property
+    def full_thresholds(self) -> tuple[int, ...]:
+        return self.policy.thresholds
+
+    @property
+    def thresholds(self) -> dict[int, int]:
+        table = self.policy.thresholds
+        end = next((z + 1 for z, t in enumerate(table) if t <= z + 1), len(table))
+        return dict(enumerate(table[:end]))
 
 
 def _base_ages(a_max: int) -> np.ndarray:
@@ -126,15 +139,6 @@ def _thresholds_from_actions(u: np.ndarray) -> tuple[np.ndarray, bool]:
     return thresholds, exact
 
 
-def _trim_thresholds(full: np.ndarray) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for z, t in enumerate(full):
-        out[z] = int(t)
-        if t <= z + 1:
-            break
-    return out
-
-
 def _abort_from_grid(u: np.ndarray) -> np.ndarray:
     """Abort indices of an action grid: the first offload on each diagonal
     ``(d + j, j)``; the ceiling row offloads everywhere."""
@@ -175,20 +179,16 @@ def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
     return v - v[0, 0]
 
 
-def rvi_solve(
-    params: ModelParams,
-    tol: float = 1e-10,
-    max_iters: int = 100_000,
-    v_init: np.ndarray | None = None,
-) -> SolveReport:
+def rvi_solve(params: ModelParams, v_init: np.ndarray | None = None) -> SolveReport:
     """Optimal policy by policy iteration on the delivery-age chain.
 
     Starts from the greedy policy on ``v_init`` (all zeros when omitted,
     which is the local-only policy), and alternates exact evaluation with
     improvement over every abort index ``k <= a_max - d`` per delivered age
     ``d``.  An age keeps its abort index unless another lowers its value by
-    more than ``tol`` relative to the value's size, and the loop stops at
-    the first step that changes nothing.  ``iterations`` counts improvement
+    more than ``1e-10`` relative to the value's size, and the loop stops at
+    the first step that changes nothing (``converged`` is false if the
+    100,000-step guard stops it first).  ``iterations`` counts improvement
     steps; ``span_residual`` is the span of one optimality backup of the
     rebuilt grid minus the grid, which is zero at an exact solution.
     """
@@ -210,14 +210,12 @@ def rvi_solve(
     q_cycle = lags + params.lam * w
     g, h = _evaluate(k, params, w, slots, lags)
     converged = False
-    iterations = 0
-    while iterations < max_iters:
-        iterations += 1
+    for iterations in range(1, _MAX_STEPS + 1):
         future = np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1]))
         q = q_age - g * slots[None, :] + (q_cycle + future)[None, :]
         best = q.argmin(axis=1)
         current = q[rows, k]
-        better = q[rows, best] < current - tol * (1.0 + np.abs(current))
+        better = q[rows, best] < current - _IMPROVE_REL_TOL * (1.0 + np.abs(current))
         if not better.any():
             converged = True
             break
@@ -227,21 +225,18 @@ def rvi_solve(
     diff = _backup(v, params, 1.0) - v
     u = _greedy_actions(v, params)
     thresholds, exact = _thresholds_from_actions(u)
-    full = tuple(int(t) for t in thresholds)
     policy = threshold_table_policy(
-        full, name=f"rvi(mu={params.mu:g}, lam={params.lam:g}, a_max={a_max})"
+        thresholds, name=f"rvi(mu={params.mu:g}, lam={params.lam:g}, a_max={a_max})"
     )
     return SolveReport(
         policy=policy,
         g=g,
-        thresholds=_trim_thresholds(thresholds),
         iterations=iterations,
         span_residual=float(diff.max() - diff.min()),
         converged=converged,
         values=v,
         action_grid=u,
         threshold_exact=exact,
-        full_thresholds=full,
     )
 
 
@@ -435,14 +430,11 @@ def _table_of(k, bound: int) -> tuple[int, ...]:
 def _vector_gains(k: np.ndarray, params: ModelParams) -> np.ndarray:
     """Average cost of each row of abort indices ``k`` by renewal reward on
     its delivery-age chain, ``g = sum nu_d C_d / sum nu_d slots[k_d]``, with
-    the stationary vectors ``nu`` from one stacked solve."""
-    n, r = k.shape
-    rows = np.arange(r + 1)
+    the stationary vectors ``nu`` from one stacked ``delivery_stationary``."""
+    rows = np.arange(k.shape[1] + 1)
     w = (1.0 - params.mu) ** rows
     slots, lags = np.cumsum(w)[k], np.cumsum(rows * w)[k]
-    balance = np.swapaxes(delivery_matrix(k, params.mu), 1, 2) - np.eye(r)
-    balance[:, 0, :] = 1.0  # one balance equation replaced by the normalisation
-    nu = np.linalg.solve(balance, np.broadcast_to(np.eye(r)[:, :1], (n, r, 1)))[..., 0]
+    nu = delivery_stationary(k, params.mu)
     cycle = (rows[1:] + 0.5) * slots + lags + params.lam * w[k]
     return (nu * cycle).sum(axis=1) / (nu * slots).sum(axis=1)
 
@@ -488,9 +480,7 @@ def brute_force_best_threshold(
     return SolveReport(
         policy=policy,
         g=float(best_g),
-        thresholds=dict(enumerate(best_tab)),
         iterations=sum(len(k) for k in groups),
         span_residual=0.0,
         converged=True,
-        full_thresholds=best_tab,
     )

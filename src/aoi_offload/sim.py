@@ -138,20 +138,19 @@ def _chunk(success: np.ndarray, abort_at, d: int, z: int):
     """Ages and actions of the slots of one chunk, whose success slots are
     the true entries of ``success``, starting in the open cycle ``(d, z)``
     (delivered age, service slots so far); also the open cycle it leaves.
-    ``abort_at`` is the policy's ``abort_rule``: capping ``k_d`` at a
-    segment's slot count loses nothing that segment can tell apart."""
+    ``abort_at`` is the policy's ``abort_rule``, read uncapped."""
     ends = np.append(np.flatnonzero(success) + 1, success.size)
     length = np.diff(ends, prepend=0)
     # slots of each segment's first cycle up to its end; the first segment
     # continues the open cycle, z of whose slots came before the chunk
     n = length.copy()
     n[0] += z
-    k1 = abort_at(np.ones(1, dtype=np.int64), n.max(keepdims=True))[0]
+    k1 = abort_at([1])[0]
     # delivered age at the start of each segment: guess that every segment
     # ends in a delivery, then fix entries until nothing moves; round t makes
     # the first t entries exact.  k follows ds: only moved entries are re-read
     ds = np.append(d, n[:-1])
-    k = abort_at(ds, n)
+    k = abort_at(ds)
     todo = np.arange(1, ds.size)
     while todo.size:
         prev = todo - 1
@@ -159,7 +158,7 @@ def _chunk(success: np.ndarray, abort_at, d: int, z: int):
         moved = new != ds[todo]
         todo = todo[moved]
         ds[todo] = new[moved]
-        k[todo] = abort_at(ds[todo], n[todo])
+        k[todo] = abort_at(ds[todo])
         todo += 1
         todo = todo[todo < ds.size]
     # t counts slots since each segment's first offload: t < 0 on its first

@@ -17,7 +17,7 @@ from aoi_offload.chain import (
     threshold_table_policy,
 )
 from aoi_offload.core import ModelParams, State
-from aoi_offload.heuristics import service_threshold_eval
+from aoi_offload.heuristics import Z_STAR_CAP, service_threshold_eval
 
 
 def test_age_threshold_actions():
@@ -49,6 +49,21 @@ def test_policy_requires_exactly_one_rule():
         Policy(name="bad", thresholds=())
     with pytest.raises(ValueError):
         Policy(name="bad", thresholds=(3, 0))
+
+
+def test_threshold_table_policy_rejects_fractions_and_keeps_ints():
+    # a fraction raises as it does in Policy, instead of being truncated
+    for table in ((2.5, 1.9), (4, 3.5)):
+        with pytest.raises(ValueError):
+            threshold_table_policy(table)
+    policy = threshold_table_policy(np.array([5, 3, 2]))
+    assert policy.thresholds == (5, 3, 2)
+    assert all(type(t) is int for t in policy.thresholds)
+
+
+def test_service_threshold_policy_has_the_closed_forms_cap():
+    with pytest.raises(ValueError):
+        service_threshold_policy(Z_STAR_CAP + 1)
 
 
 def test_chain_rows_for_small_age_threshold():

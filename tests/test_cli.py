@@ -79,6 +79,9 @@ def test_eval_optimal_reports_lambda_as_param(capsys):
         ["eval", "--family", "mec_only", "--mu", "0"],
         ["eval", "--family", "mec_only", "--horizon", "5"],
         ["frontier", "--lambda", "5"],
+        ["simulate", "--family", "service_threshold", "--zstar", "1000001"],
+        ["eval", "--family", "service_threshold", "--zstar", "2000000", "--method", "chain"],
+        ["rvi", "--tol", "1e-8"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):

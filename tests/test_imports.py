@@ -1,3 +1,4 @@
+import ast
 import importlib
 import subprocess
 import sys
@@ -45,3 +46,29 @@ def test_scipy_loads_only_for_the_sparse_chain():
 def test_every_public_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _unused_imports(path):
+    """Names ``path`` imports but neither reads nor exports, except on lines
+    marked ``# noqa: F401``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if "# noqa: F401" not in lines[node.lineno - 1]:
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = importlib.import_module(f"aoi_offload.{path.stem}").__all__
+    return sorted(imported - used - set(exported))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (SRC / "aoi_offload").glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # pyflakes' F401 without pyflakes: an import that a removed parameter or
+    # function leaves behind fails here
+    assert _unused_imports(path) == []

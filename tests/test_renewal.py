@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from aoi_offload.chain import (
+    NEVER_OFFLOAD,
     abort_indices,
+    abort_rule,
     age_threshold_policy,
     build_chain,
     delivery_matrix,
+    delivery_stationary,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
@@ -19,13 +22,16 @@ from aoi_offload.chain import (
     threshold_table_policy,
 )
 from aoi_offload.core import ModelParams
+from aoi_offload.heuristics import service_threshold_eval
 from aoi_offload.mdp import (
     _abort_vectors,
     _table_of,
     _vector_gains,
     bellman_residual,
     brute_force_best_threshold,
+    discounted_vi,
     rvi_solve,
+    verify_structure,
 )
 
 A_MAX = 30
@@ -77,6 +83,15 @@ def test_abort_indices_are_capped_by_the_ceiling():
     assert occurring_ages(abort_indices(local_only_policy(), 6)) == 5
     assert occurring_ages(abort_indices(mec_only_policy(), 6)) == 1
     assert occurring_ages(abort_indices(age_threshold_policy(3, 6), 6)) == 2
+
+
+def test_abort_rule_is_uncapped_and_only_abort_indices_apply_the_ceiling():
+    ages = np.array([1, 5])
+    assert np.array_equal(abort_rule(local_only_policy())(ages), NEVER_OFFLOAD - ages)
+    d = np.arange(1, 21)
+    for table in ((40, 3, 30, 2), (9, 7, 5, 3, 1), (25,)):
+        policy = threshold_table_policy(table)
+        assert np.array_equal(abort_indices(policy, 20), np.minimum(abort_rule(policy)(d), 20 - d))
 
 
 def test_unreachable_ages_do_not_change_the_result():
@@ -183,6 +198,10 @@ def test_batched_delivery_matrix_matches_one_vector_at_a_time():
     assert batched.shape == (len(k), 5, 5)
     for kk, mat in zip(k, batched):
         assert np.array_equal(mat, delivery_matrix(kk, 0.35))
+    nu = delivery_stationary(k, 0.35)
+    assert nu.shape == (len(k), 5)
+    for kk, row in zip(k, nu):
+        assert np.array_equal(row, delivery_stationary(kk, 0.35))
 
 
 @pytest.mark.parametrize("mu, lam", [(0.5, 3.0), (0.15, 11.0)])
@@ -224,3 +243,38 @@ def test_policy_iteration_matches_bound_12_oracle(mu, lam):
     # the oracle's class holds every vector that reaches no age above the bound
     if (np.arange(1, r + 1) + k[:r]).max() <= 12:
         assert oracle.g == pytest.approx(solved.g, rel=1e-9)
+
+
+# property tests: no shrink phase, so that a failure reports in seconds
+_PROPERTY = settings(max_examples=25, deadline=None,
+                     phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+
+
+@_PROPERTY
+@given(mu=st.floats(0.05, 1.0), lam=st.floats(0.0, 20.0),
+       table=st.lists(st.integers(1, A_MAX), min_size=1, max_size=6))
+def test_exact_evaluation_matches_the_full_chain_on_random_tables(mu, lam, table):
+    # unsorted draws include rising tables, which no policy family builds
+    policy = threshold_table_policy(table)
+    params = ModelParams(mu=mu, lam=lam, a_max=A_MAX)
+    res = evaluate_exact(policy, params)
+    delta, p_bar = reference(policy, params)
+    assert res.delta == pytest.approx(delta, rel=1e-9)
+    assert res.p_bar == pytest.approx(p_bar, abs=1e-9)
+
+
+@_PROPERTY
+@given(mu=st.floats(0.05, 1.0), lam=st.floats(0.0, 20.0), z_star=st.integers(0, 8))
+def test_exact_evaluation_matches_the_service_threshold_closed_form(mu, lam, z_star):
+    res = evaluate_exact(service_threshold_policy(z_star), ModelParams(mu=mu, lam=lam, a_max=A_MAX))
+    closed = service_threshold_eval(mu, z_star, lam)
+    assert res.delta == pytest.approx(closed.delta, rel=1e-9)
+    assert res.p_bar == pytest.approx(closed.p_bar, abs=1e-9)
+
+
+@_PROPERTY
+@given(mu=st.floats(0.05, 1.0), lam=st.floats(0.0, 20.0), a_max=st.integers(8, A_MAX))
+def test_solver_policy_passes_the_structure_checks(mu, lam, a_max):
+    params = ModelParams(mu=mu, lam=lam, a_max=a_max)
+    report = verify_structure(discounted_vi(params, 40), rvi_solve(params).policy)
+    assert report.passed, [c.name for c in report.failures()]
