@@ -71,6 +71,14 @@ __all__ = [
 NEVER_OFFLOAD = 2**31
 
 
+def _whole(t) -> bool:
+    """Whether ``t`` is a whole number (``int`` raises on inf and NaN)."""
+    try:
+        return int(t) == t
+    except (OverflowError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class Policy:
     """Stationary deterministic action rule, total on every state: a table of
@@ -84,7 +92,7 @@ class Policy:
     def __post_init__(self) -> None:
         if len(self.thresholds) == 0:
             raise ValueError("threshold table must not be empty")
-        if any(int(t) != t or t < 1 for t in self.thresholds):
+        if any(not _whole(t) or t < 1 for t in self.thresholds):
             raise ValueError("thresholds must be integers >= 1")
 
     def action(self, a: int, z: int) -> int:
@@ -133,7 +141,7 @@ def mec_only_policy() -> Policy:
 def threshold_table_policy(table, name: str | None = None) -> Policy:
     """Policy of ``table``; a non-integer entry raises as in ``Policy``."""
     return Policy(name=name or "threshold_table",
-                  thresholds=tuple(int(t) if int(t) == t else t for t in table))
+                  thresholds=tuple(int(t) if _whole(t) else t for t in table))
 
 
 def abort_rule(policy: Policy) -> Callable[[np.ndarray], np.ndarray]:

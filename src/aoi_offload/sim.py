@@ -8,16 +8,15 @@ work completes into ``(z + 1, 0)`` when the slot's uniform draw falls below
 ``(1, 0)``, and there is no age ceiling: an age grows until a delivery or an
 offload, however long that takes.
 
-The kernel does not step slot by slot.  A slot whose draw is below ``mu``
-ends a delivery cycle whatever the action (it delivers under action 0 and
-offloads under action 1), so these success slots cut the run into segments
-that do not depend on the policy.  A segment starts from a delivered age
-``d``; its first cycle runs to the abort index ``k_d`` (from
-``chain.abort_rule``, the one reader of the policy's threshold table),
-after which cycles from ``(1, 0)`` repeat with period ``k_1 + 1``.  Every
-slot's age and action inside a segment follow in closed form, and the
-delivered age that starts the next segment is a function of ``d`` and the
-segment length.
+The kernel neither steps slot by slot nor stores a slot's age.  A slot
+whose draw is below ``mu`` ends a delivery cycle whatever the action (it
+delivers under action 0 and offloads under action 1), so these success
+slots cut the run into segments that do not depend on the policy.  After a
+delivery at age ``d`` with abort index ``k = k_d`` (``abort_rule`` is the
+one reader of the policy's table), slot ``m`` has age ``d + m`` up to its
+offload at ``m = k``, then ``(m - k - 1) % P + 1`` in ``P = k_1 + 1`` slot
+cycles.  A segment's age total and offload count are thus arithmetic
+series, and the age it delivers next is a function of ``d`` and its length.
 
 Reproducibility contract: the slot-n uniform is a pure function of
 ``(seed, n)`` via splitmix64 in counter mode,
@@ -46,13 +45,7 @@ import numpy as np
 from .chain import Policy, abort_rule
 from .core import ModelParams
 
-__all__ = [
-    "SimConfig",
-    "SimResult",
-    "uniforms",
-    "simulate",
-    "batch_stderr",
-]
+__all__ = ["SimConfig", "SimResult", "uniforms", "simulate", "batch_stderr"]
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -123,71 +116,81 @@ def batch_stderr(batch_means) -> float:
     return float(means.std(ddof=1) / math.sqrt(means.size))
 
 
-def _service_after(k, n, k1):
-    """Service slots of the open cycle after the first ``n`` slots that
-    follow a delivery with abort index ``k``, when none of them is a
-    success; the cycles after the first offload have period ``k1 + 1``.
+def _split(x, k, period):
+    """Of the ``x`` slots after a delivery with abort index ``k <= x``: the
+    head through the offload, whether it came, full cycles and the rest."""
+    off = k < x
+    head = k + off
+    tail = x - head
+    cycles = tail // period
+    return head, off, cycles, tail - cycles * period
 
-    If slot ``n`` is a success instead, the age it delivers is this count,
-    or 1 where the count is 0, since that slot offloaded.
-    """
-    return np.where(n <= k, n, (n - k - 1) % (k1 + 1))
+
+def _age_total(head, d, rest):
+    """Age total of ``head`` slots from age ``d`` and ``rest`` from age 1."""
+    # m (m + 1) / 2 as ((m + 1) >> 1) * (m | 1): no product exceeds the sum
+    return head * d + (head >> 1) * ((head - 1) | 1) + ((rest + 1) >> 1) * (rest | 1)
 
 
-def _chunk(success: np.ndarray, abort_at, d: int, z: int):
-    """Ages and actions of the slots of one chunk, whose success slots are
-    the true entries of ``success``, starting in the open cycle ``(d, z)``
-    (delivered age, service slots so far); also the open cycle it leaves.
-    ``abort_at`` is the policy's ``abort_rule``, read uncapped."""
+def _chunk(success: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work: np.ndarray):
+    """Age and offload totals between consecutive offsets ``cuts`` of a chunk
+    with success slots ``success`` from the open cycle ``(d, z)`` (delivered
+    age, service slots so far), and the cycle it leaves open.  ``abort_at``
+    is the uncapped ``abort_rule``; ``work`` has ``success.size + 2`` rows or more."""
     ends = np.append(np.flatnonzero(success) + 1, success.size)
-    length = np.diff(ends, prepend=0)
-    # slots of each segment's first cycle up to its end; the first segment
-    # continues the open cycle, z of whose slots came before the chunk
-    n = length.copy()
-    n[0] += z
-    k1 = abort_at([1])[0]
-    # delivered age at the start of each segment: guess that every segment
-    # ends in a delivery, then fix entries until nothing moves; round t makes
-    # the first t entries exact.  k follows ds: only moved entries are re-read
-    ds = np.append(d, n[:-1])
-    k = abort_at(ds)
-    todo = np.arange(1, ds.size)
+    n = np.diff(ends, prepend=-z)  # slots since each segment's delivery
+    period = int(abort_at([1])[0]) + 1
+    # A segment reads k_d only as k = min(k_d, n).  Guess k_d = k_1, exact
+    # after an offload; a success delivers age n, or after an offload rest
+    # (1 if rest is 0: it offloads).  Check the guess once, then follow the
+    # segments whose k moved; round t makes the first t segments exact.
+    guess = np.minimum(n, period - 1)
+    head, off, cycles, rest = _split(n, guess, period)
+    ds = np.append(d, np.where(off, np.maximum(rest, 1), n)[:-1])
+    k = np.minimum(abort_at(ds), n)
+    todo = np.flatnonzero(k != guess)
     while todo.size:
-        prev = todo - 1
-        new = np.maximum(_service_after(k[prev], n[prev], k1), 1)
+        todo = todo[todo < n.size - 1]  # the last segment starts none
+        nt = n[todo]
+        _, o, _, r = _split(nt, k[todo], period)
+        new = np.where(o, np.maximum(r, 1), nt)
+        todo += 1
         moved = new != ds[todo]
         todo = todo[moved]
         ds[todo] = new[moved]
-        k[todo] = abort_at(ds[todo])
-        todo += 1
-        todo = todo[todo < ds.size]
-    # t counts slots since each segment's first offload: t < 0 on its first
-    # cycle, whose offload slot is t = -1; later cycles are at phase j.  The
-    # age array is built in place to keep memory flat.
-    t = np.arange(success.size)
-    t -= np.repeat(ends - n + k + 1, length)
-    head = t < 0
-    j = t % (k1 + 1)
-    acts = np.where(head, t == -1, j == k1)
-    ages = t
-    ages += np.repeat(ds + k + 1, length)  # d + slots since delivery
-    j += 1
-    np.copyto(ages, j, where=~head)
-    d = int(ds[-1]) if n[-1] <= k[-1] else 1
-    return ages, acts, d, int(_service_after(k[-1], n[-1], k1))
+        kd = np.minimum(abort_at(ds[todo]), n[todo])
+        moved = kd != k[todo]
+        todo = todo[moved]
+        k[todo] = kd[moved]
+    if (k != guess).any():
+        head, off, cycles, rest = _split(n, k, period)
+    # Row s of acc: ages less the full cycles', full cycles and first
+    # offloads before segment s; a cut in segment j adds its first x slots.
+    # No int64 exceeds the age total simulated so far; a full cycle's tri
+    # passes int64 for periods over 4e9, so tri * cycles is a Python int.
+    acc = work[: n.size + 1]
+    acc[0] = 0
+    acc[1:, 0] = _age_total(head, ds, rest)
+    acc[1:, 1], acc[1:, 2] = cycles, off
+    np.cumsum(acc, axis=0, out=acc)
+    tri = period * (period + 1) // 2
+    at = []
+    for cut, j in zip(cuts.tolist(), np.searchsorted(ends, cuts).tolist()):
+        x = cut - int(ends[j]) + int(n[j])
+        h, o, q, r = _split(x, min(int(k[j]), x), period)
+        ages, full, offs = acc[j].tolist()
+        at.append((ages + _age_total(h, int(ds[j]), r) + tri * (full + q), offs + o + full + q))
+    d, z = (1, rest[-1]) if off[-1] else (ds[-1], n[-1])
+    return np.diff(np.array(at, dtype=np.int64), axis=0), int(d), int(z)
 
 
 def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResult:
     """Monte Carlo estimate of (delta, p_bar) with batch-means errors.
 
-    The run goes in chunks of ``_CHUNK`` slots, cut into success segments
-    (see the module docstring); the policy's threshold table is read once
-    per run, by ``chain.abort_rule``.  The delivered ages that start the
-    segments of a chunk solve one recursion by vectorised fixed-point
-    rounds; the chunk's ages and actions then follow in closed form, and
-    their post-warmup part goes into the batch totals by one exact integer
-    reduction (``np.add.reduceat``).  The last segment's open cycle carries
-    into the next chunk.  No age ceiling applies.
+    The run goes in chunks of ``_CHUNK`` slots cut into success segments
+    (see the module docstring).  A chunk's segment start ages solve one
+    recursion; running sums of the segments' closed-form totals, read at
+    the warmup and batch edges, give exact integer batch totals.
     """
     warmup = config.resolved_warmup()
     batch_size = (config.horizon - warmup) // config.batches
@@ -196,24 +199,23 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
     age_sums = np.zeros(config.batches, dtype=np.int64)
     mec_sums = np.zeros(config.batches, dtype=np.int64)
     abort_at = abort_rule(policy)
+    # one run-long buffer: a chunk's own would pass glibc's mmap threshold
+    work = np.empty((_CHUNK + 2, 3), dtype=np.int64)
     d, z = 1, 0
     for pos in range(0, total, _CHUNK):
-        success = uniforms(config.seed, pos, min(_CHUNK, total - pos)) < params.mu
-        ages, acts, d, z = _chunk(success, abort_at, d, z)
-        skip = max(warmup - pos, 0)  # warmup slots at the head of the chunk
-        if skip >= success.size:
-            continue
-        first = pos + skip - warmup  # counted index of the first counted slot
-        lo, hi = first // batch_size, (pos + success.size - 1 - warmup) // batch_size
-        cuts = np.maximum(np.arange(lo, hi + 1) * batch_size - first, 0)
-        age_sums[lo : hi + 1] += np.add.reduceat(ages[skip:], cuts, dtype=np.int64)
-        mec_sums[lo : hi + 1] += np.add.reduceat(acts[skip:], cuts, dtype=np.int64)
-    age_means = age_sums / batch_size
-    mec_means = mec_sums / batch_size
+        size = min(_CHUNK, total - pos)
+        success = uniforms(config.seed, pos, size) < params.mu
+        # batches of the counted slots; offsets of warmup, batch and chunk end
+        start, end = max(pos - warmup, 0), max(pos + size - warmup, 0)
+        lo, hi = start // batch_size, -(-end // batch_size)
+        cuts = np.clip(np.arange(lo, hi + 1) * batch_size + warmup - pos, 0, size)
+        totals, d, z = _chunk(success, abort_at, d, z, cuts, work)
+        age_sums[lo:hi] += totals[:, 0]
+        mec_sums[lo:hi] += totals[:, 1]
     return SimResult(
         delta_hat=float(age_sums.sum()) / counted + 0.5,
         p_bar_hat=float(mec_sums.sum()) / counted,
-        stderr_delta=batch_stderr(age_means),
-        stderr_p=batch_stderr(mec_means),
+        stderr_delta=batch_stderr(age_sums / batch_size),
+        stderr_p=batch_stderr(mec_sums / batch_size),
         slots=counted,
     )

@@ -61,6 +61,19 @@ def test_threshold_table_policy_rejects_fractions_and_keeps_ints():
     assert all(type(t) is int for t in policy.thresholds)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"), np.inf, np.nan])
+def test_infinite_and_nan_thresholds_raise_value_error(bad):
+    for table in ((bad,), (4, bad)):
+        with pytest.raises(ValueError, match="thresholds must be integers >= 1"):
+            Policy(name="x", thresholds=table)
+        with pytest.raises(ValueError, match="thresholds must be integers >= 1"):
+            threshold_table_policy(table)
+
+
+def test_threshold_table_policy_takes_an_iterator():
+    assert threshold_table_policy(iter((5.0, 3, 2))).thresholds == (5, 3, 2)
+
+
 def test_service_threshold_policy_has_the_closed_forms_cap():
     with pytest.raises(ValueError):
         service_threshold_policy(Z_STAR_CAP + 1)

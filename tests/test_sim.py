@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from aoi_offload import sim as sim_module
 from aoi_offload.chain import (
+    NEVER_OFFLOAD,
     abort_rule,
     age_threshold_policy,
     build_chain,
@@ -226,6 +230,76 @@ def test_cycle_carried_across_chunks(policy):
 def test_every_slot_succeeds_at_mu_one(policy):
     cfg = SimConfig(horizon=2 * _CHUNK + 5, seed=8, warmup=3, batches=10)
     assert simulate(policy, ModelParams(mu=1.0), cfg) == replay_result(policy, 1.0, cfg)
+
+
+def slot_prefix(x, d, k, k1):
+    """Age total and offload count of the first ``x`` slots after a delivery
+    at age ``d`` with no success among them, stepped slot by slot: the first
+    cycle offloads at service slot ``k``, later ones at ``k1``."""
+    a, z, limit, ages, offloads = d, 0, k, 0, 0
+    for _ in range(x):
+        ages += a
+        if z == limit:
+            offloads += 1
+            a, z, limit = 1, 0, k1
+        else:
+            a, z = a + 1, z + 1
+    return ages, offloads
+
+
+def closed_prefix(x, d, k, k1):
+    """The same totals from the kernel's closed form."""
+    period = k1 + 1
+    head, off, cycles, rest = sim_module._split(x, np.minimum(k, x), period)
+    ages = sim_module._age_total(head, d, rest) + cycles * (period * (period + 1) // 2)
+    return ages, off + cycles
+
+
+def test_closed_form_prefix_matches_slot_by_slot_sums():
+    # x = 0, k = 0 (edge only), k1 = 0, k >= x (no abort) and the uncapped
+    # local-only k = NEVER_OFFLOAD - d, for every small combination
+    grid = [(x, d, k, k1) for x, d, k1 in itertools.product(range(26), range(1, 6), range(7))
+            for k in (*range(9), NEVER_OFFLOAD - d)]
+    x, d, k, k1 = (np.array(col, dtype=np.int64) for col in zip(*grid))
+    want = np.array([slot_prefix(*case) for case in grid])
+    for col in np.unique(k1):  # the period is one number per chunk
+        at = k1 == col
+        ages, offloads = closed_prefix(x[at], d[at], k[at], int(col))
+        assert np.array_equal(ages, want[at, 0]) and np.array_equal(offloads, want[at, 1])
+    # the scalar path that reads totals at the cuts
+    assert all(tuple(map(int, closed_prefix(*case))) == tuple(want[i])
+               for i, case in enumerate(grid))
+    # local-only, uncapped in both cycles: the period is 2**31
+    local = (40, 3, NEVER_OFFLOAD - 3, NEVER_OFFLOAD - 1)
+    assert closed_prefix(*local) == slot_prefix(*local)
+
+
+@pytest.mark.parametrize("chunk", [997, 4097])
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # the warmup spans more than one patched chunk, so whole chunks are warmup
+    cfg = SimConfig(horizon=40_000, seed=6, warmup=9_001, batches=13)
+    policies = [threshold_table_policy((5, 3, 2)), age_threshold_policy(4, 50), mec_only_policy(),
+                local_only_policy(), service_threshold_policy(2)]
+    cases = [(policy, ModelParams(mu=mu)) for policy in policies for mu in (0.05, 0.4, 0.8)]
+    default = [simulate(policy, params, cfg) for policy, params in cases]
+    monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+    assert [simulate(policy, params, cfg) for policy, params in cases] == default
+
+
+def test_perfbench_sim_workloads_match_their_recorded_digests(tmp_path, monkeypatch):
+    # the benchmark's default-seed reference values, bit for bit, so that a
+    # kernel change that moves any simulated total fails here too
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench import workloads
+
+    recorded = json.loads((root / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    for name in ("sim_short", "sim_long"):
+        workload = workloads.build(name, 1, tmp_path, recorded[name])
+        for op in workload.ops:
+            digest, failure = op.verify(op.call())
+            assert failure is None, f"{op.label}: {failure}"
+            assert digest == op.recorded, op.label
 
 
 def test_a_huge_table_is_read_once_per_run(monkeypatch):
