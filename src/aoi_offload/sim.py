@@ -17,6 +17,9 @@ one reader of the policy's table), slot ``m`` has age ``d + m`` up to its
 offload at ``m = k``, then ``(m - k - 1) % P + 1`` in ``P = k_1 + 1`` slot
 cycles.  A segment's age total and offload count are thus arithmetic
 series, and the age it delivers next is a function of ``d`` and its length.
+A kernel call spans whole blocks of ``_CHUNK`` slots, kept only as their
+success offsets, until it holds ``_CHUNK`` segments or the horizon ends:
+about ``_CHUNK`` segments a call at any ``mu``, one block of slot arrays.
 
 Reproducibility contract: the slot-n uniform is a pure function of
 ``(seed, n)`` via splitmix64 in counter mode,
@@ -132,13 +135,14 @@ def _age_total(head, d, rest):
     return head * d + (head >> 1) * ((head - 1) | 1) + ((rest + 1) >> 1) * (rest | 1)
 
 
-def _chunk(success: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work: np.ndarray):
-    """Age and offload totals between consecutive offsets ``cuts`` of a chunk
-    with success slots ``success`` from the open cycle ``(d, z)`` (delivered
-    age, service slots so far), and the cycle it leaves open.  ``abort_at``
-    is the uncapped ``abort_rule``; ``work`` has ``success.size + 2`` rows or more."""
-    ends = np.append(np.flatnonzero(success) + 1, success.size)
-    n = np.diff(ends, prepend=-z)  # slots since each segment's delivery
+def _chunk(ends: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work: np.ndarray):
+    """Age and offload totals between consecutive offsets ``cuts`` of a span
+    whose success segments end at offsets ``ends`` (the last at the span's
+    end), from the open cycle ``(d, z)`` (delivered age, service slots so
+    far), and the cycle it leaves open.  ``abort_at`` is the uncapped
+    ``abort_rule``; ``work`` has 6 rows of ``ends.size + 1`` or more."""
+    acc, (n, ds, k) = work[:3, : ends.size + 1], work[3:, : ends.size]
+    n[:] = np.diff(ends, prepend=-z)  # slots since each segment's delivery
     period = int(abort_at([1])[0]) + 1
     # A segment reads k_d only as k = min(k_d, n).  Guess k_d = k_1, exact
     # after an offload; a success delivers age n, or after an offload rest
@@ -146,8 +150,8 @@ def _chunk(success: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work
     # segments whose k moved; round t makes the first t segments exact.
     guess = np.minimum(n, period - 1)
     head, off, cycles, rest = _split(n, guess, period)
-    ds = np.append(d, np.where(off, np.maximum(rest, 1), n)[:-1])
-    k = np.minimum(abort_at(ds), n)
+    ds[0], ds[1:] = d, np.where(off, np.maximum(rest, 1), n)[:-1]
+    np.minimum(abort_at(ds), n, out=k)
     todo = np.flatnonzero(k != guess)
     while todo.size:
         todo = todo[todo < n.size - 1]  # the last segment starts none
@@ -164,21 +168,20 @@ def _chunk(success: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work
         k[todo] = kd[moved]
     if (k != guess).any():
         head, off, cycles, rest = _split(n, k, period)
-    # Row s of acc: ages less the full cycles', full cycles and first
+    # Column s of acc: ages less the full cycles', full cycles and first
     # offloads before segment s; a cut in segment j adds its first x slots.
     # No int64 exceeds the age total simulated so far; a full cycle's tri
     # passes int64 for periods over 4e9, so tri * cycles is a Python int.
-    acc = work[: n.size + 1]
-    acc[0] = 0
-    acc[1:, 0] = _age_total(head, ds, rest)
-    acc[1:, 1], acc[1:, 2] = cycles, off
-    np.cumsum(acc, axis=0, out=acc)
+    acc[:, 0] = 0
+    acc[0, 1:] = _age_total(head, ds, rest)
+    acc[1, 1:], acc[2, 1:] = cycles, off
+    np.cumsum(acc, axis=1, out=acc)
     tri = period * (period + 1) // 2
     at = []
     for cut, j in zip(cuts.tolist(), np.searchsorted(ends, cuts).tolist()):
         x = cut - int(ends[j]) + int(n[j])
         h, o, q, r = _split(x, min(int(k[j]), x), period)
-        ages, full, offs = acc[j].tolist()
+        ages, full, offs = acc[:, j].tolist()
         at.append((ages + _age_total(h, int(ds[j]), r) + tri * (full + q), offs + o + full + q))
     d, z = (1, rest[-1]) if off[-1] else (ds[-1], n[-1])
     return np.diff(np.array(at, dtype=np.int64), axis=0), int(d), int(z)
@@ -187,10 +190,10 @@ def _chunk(success: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work
 def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResult:
     """Monte Carlo estimate of (delta, p_bar) with batch-means errors.
 
-    The run goes in chunks of ``_CHUNK`` slots cut into success segments
-    (see the module docstring).  A chunk's segment start ages solve one
-    recursion; running sums of the segments' closed-form totals, read at
-    the warmup and batch edges, give exact integer batch totals.
+    The run is cut into success segments and fed to the kernel in spans of
+    whole blocks (see the module docstring).  A span's segment start ages
+    solve one recursion; running sums of the segments' closed-form totals,
+    read at the warmup and batch edges, give exact integer batch totals.
     """
     warmup = config.resolved_warmup()
     batch_size = (config.horizon - warmup) // config.batches
@@ -199,19 +202,26 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
     age_sums = np.zeros(config.batches, dtype=np.int64)
     mec_sums = np.zeros(config.batches, dtype=np.int64)
     abort_at = abort_rule(policy)
-    # one run-long buffer: a chunk's own would pass glibc's mmap threshold
-    work = np.empty((_CHUNK + 2, 3), dtype=np.int64)
-    d, z = 1, 0
+    # run-long rows for the kernel and a span's <= 2 * _CHUNK ends: a call's own
+    # would outgrow glibc's trim threshold, twice this buffer, and fault back in
+    work = np.empty((7, 2 * _CHUNK + 2), dtype=np.int64)
+    d, z, span, found, ends = 1, 0, 0, 0, work[6]
     for pos in range(0, total, _CHUNK):
-        size = min(_CHUNK, total - pos)
-        success = uniforms(config.seed, pos, size) < params.mu
-        # batches of the counted slots; offsets of warmup, batch and chunk end
-        start, end = max(pos - warmup, 0), max(pos + size - warmup, 0)
+        stop = min(pos + _CHUNK, total)
+        hits = np.flatnonzero(uniforms(config.seed, pos, stop - pos) < params.mu)
+        ends[found : found + hits.size] = hits + (pos + 1 - span)
+        found += hits.size
+        if found < _CHUNK and stop < total:
+            continue
+        # batches of the counted slots; offsets of warmup, batch and span end
+        start, end = max(span - warmup, 0), max(stop - warmup, 0)
         lo, hi = start // batch_size, -(-end // batch_size)
-        cuts = np.clip(np.arange(lo, hi + 1) * batch_size + warmup - pos, 0, size)
-        totals, d, z = _chunk(success, abort_at, d, z, cuts, work)
+        cuts = np.clip(np.arange(lo, hi + 1) * batch_size + warmup - span, 0, stop - span)
+        ends[found] = stop - span
+        totals, d, z = _chunk(ends[: found + 1], abort_at, d, z, cuts, work[:6])
         age_sums[lo:hi] += totals[:, 0]
         mec_sums[lo:hi] += totals[:, 1]
+        span, found = stop, 0
     return SimResult(
         delta_hat=float(age_sums.sum()) / counted + 0.5,
         p_bar_hat=float(mec_sums.sum()) / counted,

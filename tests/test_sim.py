@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,46 @@ def test_cycle_carried_across_chunks(policy):
     cfg = SimConfig(horizon=5 * _CHUNK + 3, seed=seed, warmup=7, batches=10)
     assert max(a for a, _ in replay_states(policy, mu, seed, cfg.horizon)) > _CHUNK
     assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
+
+
+@pytest.mark.parametrize("policy", [
+    local_only_policy(),
+    service_threshold_policy(20_000),
+    age_threshold_policy(25_000, a_max=10**6),
+    threshold_table_policy((30_000, 20_000, 18_000)),
+], ids=lambda p: p.name)
+def test_open_cycle_carried_across_kernel_calls(monkeypatch, policy):
+    # a kernel call spans blocks until it holds a block's worth of segments,
+    # so at low mu it covers many blocks; with 31-slot blocks the run still
+    # takes several calls, and a cycle open at a call's end runs on for more
+    # than a block in the next one
+    block = 31
+    monkeypatch.setattr(sim_module, "_CHUNK", block)
+    carried = []  # per call: service slots of the cycle carried in, and its whole length
+    kernel = sim_module._chunk
+
+    def spy(ends, abort_at, d, z, cuts, work):
+        carried.append((z, int(ends[0]) + z))
+        return kernel(ends, abort_at, d, z, cuts, work)
+
+    monkeypatch.setattr(sim_module, "_chunk", spy)
+    mu = 0.005
+    cfg = SimConfig(horizon=20_000, seed=3, warmup=7, batches=10)
+    assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
+    assert len(carried) >= 3
+    assert any(z > 0 and length > block for z, length in carried[1:])
+
+
+def test_a_span_keeps_no_per_slot_array_beyond_one_block():
+    # about 20 successes in 2 * 10**7 slots: one kernel call spans the whole
+    # run, where a bool mask of the span alone would take 19 MiB
+    tracemalloc.start()
+    try:
+        simulate(local_only_policy(), ModelParams(mu=1e-6), SimConfig(horizon=2 * 10**7, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("policy", [
