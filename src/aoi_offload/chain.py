@@ -71,12 +71,14 @@ __all__ = [
 NEVER_OFFLOAD = 2**31
 
 
-def _whole(t) -> bool:
-    """Whether ``t`` is a whole number (``int`` raises on inf and NaN)."""
+def _threshold(t) -> int:
+    """``t`` as an ``int``; raises unless it is a whole number >= 1."""
     try:
-        return int(t) == t
+        if int(t) == t and t >= 1:  # int raises on inf and NaN
+            return int(t)
     except (OverflowError, ValueError):
-        return False
+        pass
+    raise ValueError("thresholds must be integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class Policy:
     def __post_init__(self) -> None:
         if len(self.thresholds) == 0:
             raise ValueError("threshold table must not be empty")
-        if any(not _whole(t) or t < 1 for t in self.thresholds):
-            raise ValueError("thresholds must be integers >= 1")
+        object.__setattr__(self, "thresholds", tuple(map(_threshold, self.thresholds)))
 
     def action(self, a: int, z: int) -> int:
         return 1 if a >= self.threshold(z) else 0
@@ -139,9 +140,9 @@ def mec_only_policy() -> Policy:
 
 
 def threshold_table_policy(table, name: str | None = None) -> Policy:
-    """Policy of ``table``; a non-integer entry raises as in ``Policy``."""
-    return Policy(name=name or "threshold_table",
-                  thresholds=tuple(int(t) if _whole(t) else t for t in table))
+    """Policy of ``table``; an array is read with ``tolist``, so ``Policy`` checks Python ints."""
+    table = table.tolist() if isinstance(table, np.ndarray) else table
+    return Policy(name=name or "threshold_table", thresholds=tuple(table))
 
 
 def abort_rule(policy: Policy) -> Callable[[np.ndarray], np.ndarray]:

@@ -22,7 +22,6 @@ from aoi_offload.heuristics import local_only, service_moments, service_threshol
 from aoi_offload.mdp import (
     brute_force_best_threshold,
     discounted_vi,
-    expand_value_grid,
     rvi_solve,
     sweep_lambdas,
     verify_structure,
@@ -211,8 +210,8 @@ def test_criterion_09_truncation_stability(fig_sweep):
     if abs(g100 - g50) >= 1e-4:
         failures.append(("mu=0.5 lam=3", g50, g100))
     for lam, solved in fig_sweep:
-        warm = expand_value_grid(solved.values, 2 * FIG_A_MAX)
-        doubled = rvi_solve(ModelParams(mu=FIG_MU, lam=lam, a_max=2 * FIG_A_MAX), v_init=warm)
+        doubled = rvi_solve(ModelParams(mu=FIG_MU, lam=lam, a_max=2 * FIG_A_MAX),
+                            start=solved.policy)
         if abs(doubled.g - solved.g) >= 1e-4:
             failures.append((lam, solved.g, doubled.g))
     report(9, "doubling the age ceiling leaves the optimal cost unchanged", not failures,

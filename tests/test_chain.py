@@ -74,6 +74,12 @@ def test_threshold_table_policy_takes_an_iterator():
     assert threshold_table_policy(iter((5.0, 3, 2))).thresholds == (5, 3, 2)
 
 
+def test_policy_stores_python_ints():
+    policy = Policy(name="x", thresholds=[np.int64(5), 3.0, np.float64(2.0)])
+    assert policy.thresholds == (5, 3, 2)
+    assert all(type(t) is int for t in policy.thresholds)
+
+
 def test_service_threshold_policy_has_the_closed_forms_cap():
     with pytest.raises(ValueError):
         service_threshold_policy(Z_STAR_CAP + 1)

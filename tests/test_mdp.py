@@ -18,7 +18,6 @@ from aoi_offload.mdp import (
     brute_force_best_threshold,
     default_a_max,
     discounted_vi,
-    expand_value_grid,
     rvi_solve,
     sweep_lambdas,
     verify_structure,
@@ -180,14 +179,39 @@ def test_truncation_insensitivity_at_moderate_rate():
     assert abs(g50 - g100) < 1e-4
 
 
-def test_expand_value_grid_warm_start_is_nearly_fixed():
+def test_warm_start_from_a_smaller_ceiling_is_nearly_fixed():
     params = ModelParams(mu=0.5, lam=3.0, a_max=50)
     small = rvi_solve(params)
     big_params = ModelParams(mu=0.5, lam=3.0, a_max=120)
-    warm = rvi_solve(big_params, v_init=expand_value_grid(small.values, 120))
+    warm = rvi_solve(big_params, start=small.policy)
     cold = rvi_solve(big_params)
     assert warm.iterations < cold.iterations
     assert warm.g == pytest.approx(cold.g, abs=1e-8)
+
+
+@pytest.mark.parametrize("mu, lam, a_max", [
+    (0.5, 3.0, 50), (0.01, 1.0, 120), (1.0, 5.0, 50), (0.5, 0.0, 50), (0.5, 1e6, 50),
+])
+def test_cold_start_is_the_local_only_start(mu, lam, a_max):
+    params = ModelParams(mu=mu, lam=lam, a_max=a_max)
+    cold, local = rvi_solve(params), rvi_solve(params, start=local_only_policy())
+    assert (local.iterations, local.g, local.full_thresholds) == (
+        cold.iterations, cold.g, cold.full_thresholds)
+    assert np.array_equal(local.values, cold.values)
+
+
+@pytest.mark.parametrize("mu, lam, a_max", [(0.5, 3.0, 50), (0.01, 1.0, 120)])
+def test_every_start_reaches_the_cold_solution(mu, lam, a_max):
+    # points where no two abort indices tie within the improvement tolerance
+    params = ModelParams(mu=mu, lam=lam, a_max=a_max)
+    cold = rvi_solve(params)
+    table = np.random.default_rng(14).integers(1, a_max + 1, size=10)
+    for start in (mec_only_policy(), service_threshold_policy(3), threshold_table_policy(table),
+                  rvi_solve(ModelParams(mu=mu, lam=lam, a_max=20)).policy):
+        warm = rvi_solve(params, start=start)
+        assert warm.converged
+        assert abs(warm.g - cold.g) <= 1e-9
+        assert warm.full_thresholds == cold.full_thresholds
 
 
 def test_sweep_matches_cold_solves_and_orders_prices():
@@ -234,8 +258,3 @@ def test_default_ceiling_rule():
     assert default_a_max(0.5) == 50
     assert default_a_max(0.1) == 50
     assert default_a_max(0.01) == 400
-
-
-def test_solver_rejects_bad_warm_start_shape():
-    with pytest.raises(ValueError):
-        rvi_solve(ModelParams(mu=0.5, a_max=20), v_init=np.zeros((10, 10)))

@@ -132,7 +132,7 @@ def test_rebuilt_grid_solves_the_optimality_equation(mu, lam, a_max):
 def test_warm_start_from_the_solution_takes_one_step():
     params = ModelParams(mu=0.3, lam=2.0, a_max=40)
     cold = rvi_solve(params)
-    warm = rvi_solve(params, v_init=cold.values)
+    warm = rvi_solve(params, start=cold.policy)
     assert warm.iterations == 1
     assert warm.full_thresholds == cold.full_thresholds
     assert warm.g == pytest.approx(cold.g, abs=1e-12)
