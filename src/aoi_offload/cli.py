@@ -407,14 +407,24 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         parser.error(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config {path} must hold a JSON object")
+    subs = [sub for action in parser._subparsers._group_actions  # noqa: SLF001 - argparse keeps this stable
+            for sub in action.choices.values()]
     defaults = {}
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
             parser.error(f"unknown config key {key!r}")
-        defaults[_CONFIG_KEYS[key]] = value
-    for action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse keeps this stable
-        for sub in action.choices.values():
-            sub.set_defaults(**defaults)
+        if type(value) not in (str, int, float):  # JSON true/false/null, arrays, objects
+            parser.error(f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
+        # read the value as its flag reads it on the command line
+        dest = _CONFIG_KEYS[key]
+        sub, flag = next((sub, a) for sub in subs for a in sub._actions if a.dest == dest)
+        try:
+            defaults[dest] = sub._get_value(flag, str(value))  # noqa: SLF001
+            sub._check_value(flag, defaults[dest])  # noqa: SLF001
+        except argparse.ArgumentError as exc:
+            parser.error(f"config key {key!r}: {exc}")
+    for sub in subs:
+        sub.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:

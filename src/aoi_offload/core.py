@@ -13,6 +13,7 @@ within the slot (action 1), which costs ``lam`` and resets the system to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,8 +54,9 @@ RESET = State(1, 0)
 
 
 def validate_rate(mu: float) -> None:
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    """Reject a rate outside (0, 1], and a subnormal one, whose reciprocal overflows."""
+    if not sys.float_info.min <= mu <= 1.0:
+        raise ValueError(f"mu must be a normal float in (0, 1], got {mu}")
 
 
 def validate_price(lam: float) -> None:

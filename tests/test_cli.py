@@ -242,6 +242,35 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    (["rvi"], {"mu": [1]}),
+    (["rvi"], {"mu": None}),
+    (["simulate", "--family", "local_only"], {"horizon": 20000.7}),
+    (["eval", "--family", "local_only"], {"mu": True}),
+    (["frontier"], {"format": "xml"}),
+])
+def test_config_values_are_checked_like_their_flags(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--config", str(cfg)])
+    assert err.value.code == 2
+    assert repr(next(iter(config))) in capsys.readouterr().err
+
+
+def test_config_strings_and_numbers_read_as_on_the_command_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": "0.25", "lambda": 2, "amax": 20}))
+    flags = ["--mu", "0.25", "--lambda", "2", "--amax", "20"]
+    assert run(capsys, ["rvi", "--config", str(cfg)]) == run(capsys, ["rvi", *flags])
+
+
+def test_subnormal_rate_exits_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--family", "local_only", "--mu", "5e-324"])
+    assert err.value.code == 2
+
+
 def test_config_must_be_a_json_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([1, 2]))

@@ -1,4 +1,6 @@
 
+from fractions import Fraction
+
 import pytest
 
 from aoi_offload.heuristics import (
@@ -143,6 +145,22 @@ def test_monotone_in_threshold(mu):
         assert cur.p_bar < prev.p_bar
         assert cur.delta >= prev.delta - 1e-12
         prev = cur
+
+
+@pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.5, 0.9])
+@pytest.mark.parametrize("z_star", [1, 2, 5, 100])
+def test_closed_form_matches_exact_rationals(mu, z_star):
+    # the renewal sums over the cycle's slots, exactly, at the float's own mu
+    m = Fraction(mu)
+    x = 1 - m
+    e_s = sum(x**j for j in range(z_star + 1))
+    e_s2 = sum((2 * j + 1) * x**j for j in range(z_star + 1))
+    e_y = sum(j * m * x ** (j - 1) for j in range(1, z_star + 1)) + x**z_star
+    moments = service_moments(mu, z_star)
+    res = service_threshold_eval(mu, z_star)
+    for got, want in ((moments.e_s, e_s), (moments.e_s2, e_s2), (moments.e_y, e_y),
+                      (res.delta, e_y + e_s2 / (2 * e_s)), (res.p_bar, x**z_star / e_s)):
+        assert abs(Fraction(got) - want) <= 1e-13 * want
 
 
 def test_threshold_cap_and_validation():

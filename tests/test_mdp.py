@@ -168,7 +168,7 @@ def test_brute_force_exorbitant_price_pins_at_ceiling():
 
 def test_brute_force_rejects_oversized_search():
     with pytest.raises(ValueError, match="candidate"):
-        brute_force_best_threshold(ModelParams(mu=0.5, a_max=20), search_bound=20)
+        brute_force_best_threshold(ModelParams(mu=0.5, a_max=30), search_bound=25)
     with pytest.raises(ValueError):
         brute_force_best_threshold(ModelParams(mu=0.5, a_max=10), search_bound=11)
 

@@ -226,7 +226,7 @@ def test_oracle_gains_match_exact_evaluation(mu, lam):
 @pytest.mark.parametrize("lam", [1.0, 3.0, 10.0])
 def test_full_class_oracle_matches_policy_iteration(mu, lam):
     params = ModelParams(mu=mu, lam=lam, a_max=20)
-    oracle = brute_force_best_threshold(params, search_bound=20, max_candidates=10**7)
+    oracle = brute_force_best_threshold(params, search_bound=20)
     assert oracle.iterations == 10946
     assert abs(rvi_solve(params).g - oracle.g) <= 1e-6
 
