@@ -9,7 +9,7 @@ policy iteration on the delivery-age chain together with checks of its
 threshold structure.
 """
 
-from .core import LOCAL, OFFLOAD, RESET, ModelParams, State, Transition, cost, transitions
+from .core import ModelParams, State
 from .heuristics import (
     EvalResult,
     ServiceMoments,
@@ -20,17 +20,13 @@ from .heuristics import (
 )
 from .chain import (
     NEVER_OFFLOAD,
-    ChainModel,
     Policy,
-    StationaryDistribution,
     StationarySolveError,
     age_threshold_policy,
-    build_chain,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
     service_threshold_policy,
-    stationary,
     threshold_table_policy,
 )
 from .mdp import (
@@ -48,14 +44,8 @@ from .sim import SimConfig, SimResult, batch_stderr, simulate, uniforms
 __version__ = "0.1.0"
 
 __all__ = [
-    "LOCAL",
-    "OFFLOAD",
-    "RESET",
     "ModelParams",
     "State",
-    "Transition",
-    "cost",
-    "transitions",
     "EvalResult",
     "ServiceMoments",
     "local_only",
@@ -63,17 +53,13 @@ __all__ = [
     "service_moments",
     "service_threshold_eval",
     "NEVER_OFFLOAD",
-    "ChainModel",
     "Policy",
-    "StationaryDistribution",
     "StationarySolveError",
     "age_threshold_policy",
-    "build_chain",
     "evaluate_exact",
     "local_only_policy",
     "mec_only_policy",
     "service_threshold_policy",
-    "stationary",
     "threshold_table_policy",
     "SolveReport",
     "StructureReport",

@@ -30,13 +30,13 @@ and to check the balance equations of the full chain, whose flow ``pi P``
 it sums from the triplets with ``np.bincount``.  ``stationary`` solves that
 chain directly, by one sparse LU solve, and is the reference the tests
 compare against.  Only ``stationary`` and ``ChainModel.matrix`` import
-scipy, so importing the package and evaluating, solving or simulating
+scipy, which the package does not require: it comes with the ``test``
+extra.  Importing the package and evaluating, solving or simulating
 policies loads numpy alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -254,10 +254,7 @@ def build_chain(policy: Policy, params: ModelParams) -> ChainModel:
     rows: list[int] = []
     cols: list[int] = []
     probs: list[float] = []
-    queue: deque[State] = deque([RESET])
-    while queue:
-        s = queue.popleft()
-        i = index[s]
+    for i, s in enumerate(states):  # the list is its own queue: states appended here are visited
         u = 1 if s.a >= params.a_max else policy.action(s.a, s.z)
         actions.append(u)
         for t in transitions(s, u, params):
@@ -266,7 +263,6 @@ def build_chain(policy: Policy, params: ModelParams) -> ChainModel:
                 j = len(states)
                 index[t.next] = j
                 states.append(t.next)
-                queue.append(t.next)
             rows.append(i)
             cols.append(j)
             probs.append(t.prob)

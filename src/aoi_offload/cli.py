@@ -274,7 +274,7 @@ def _verify_checks(args, params: ModelParams, config: SimConfig, iterates: list)
     exact = evaluate_exact(report.policy, params)
     agreement.append({
         "name": "rvi_gain_matches_exact_policy_cost",
-        "passed": bool(abs(exact.g - report.g) <= 1e-6),
+        "passed": bool(abs(exact.g - report.g) <= max(1e-6, 1e-12 * abs(report.g))),
         "detail": f"rvi g={report.g!r}, chain g={exact.g!r}",
     })
     for z_star in range(0, 6):

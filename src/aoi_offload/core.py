@@ -115,9 +115,7 @@ def transitions(s: State, u: int, p: ModelParams) -> list[Transition]:
     _validate_action(u)
     if u == OFFLOAD:
         return [Transition(RESET, 1.0)]
-    out = []
-    if p.mu > 0.0:
-        out.append(Transition(State(s.z + 1, 0), p.mu))
+    out = [Transition(State(s.z + 1, 0), p.mu)]
     if p.mu < 1.0:
         out.append(Transition(State(s.a + 1, s.z + 1), 1.0 - p.mu))
     return out

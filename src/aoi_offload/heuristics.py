@@ -33,8 +33,10 @@ __all__ = [
     "validate_z_star",
 ]
 
-#: Beyond this threshold the results are indistinguishable from running the
-#: local processor alone at double precision, so larger values are rejected.
+#: Largest service threshold accepted anywhere.  A service-threshold policy
+#: stores ``z_star + 1`` columns, so the cap bounds its memory and the
+#: simulator's table read.  It is not where the policy turns into local-only:
+#: at ``mu = 1e-7`` threshold 10**6 still gives delta 5.4e5 against 2e7.
 Z_STAR_CAP = 10**6
 
 

@@ -4,7 +4,18 @@ import json
 import pytest
 
 from aoi_offload import cli
+from aoi_offload.chain import (
+    age_threshold_policy,
+    evaluate_exact,
+    local_only_policy,
+    mec_only_policy,
+    service_threshold_policy,
+)
 from aoi_offload.cli import main
+from aoi_offload.core import ModelParams
+from aoi_offload.heuristics import local_only, mec_only, service_threshold_eval
+from aoi_offload.mdp import rvi_solve
+from aoi_offload.sim import SimConfig, simulate
 
 
 def run(capsys, argv):
@@ -49,6 +60,52 @@ def test_eval_optimal_reports_lambda_as_param(capsys):
     assert point["delta"] + 3.0 * point["p_bar"] == pytest.approx(2.7352941176, abs=1e-6)
 
 
+#: One model point for the library comparisons: its flags, its parameters,
+#: each family's flags and policy, and the simulator's run.
+MODEL_FLAGS = ["--mu", "0.4", "--lambda", "2", "--amax", "40", "--horizon", "20000", "--seed", "5"]
+PARAMS = ModelParams(mu=0.4, lam=2.0, a_max=40)
+SIM_CONFIG = SimConfig(horizon=20_000, seed=5)
+FAMILY_FLAGS = {"local_only": [], "mec_only": [], "age_threshold": ["--astar", "3"],
+                "service_threshold": ["--zstar", "2"], "optimal": []}
+POLICIES = {"local_only": local_only_policy, "mec_only": mec_only_policy,
+            "age_threshold": lambda: age_threshold_policy(3, PARAMS.a_max),
+            "service_threshold": lambda: service_threshold_policy(2),
+            "optimal": lambda: rvi_solve(PARAMS).policy}
+CLOSED_FORMS = {"local_only": lambda: local_only(PARAMS.mu, PARAMS.lam),
+                "mec_only": lambda: mec_only(PARAMS.lam),
+                "service_threshold": lambda: service_threshold_eval(PARAMS.mu, 2, PARAMS.lam)}
+
+
+@pytest.mark.parametrize("family, method", [(family, method) for family, methods
+                                            in cli._METHODS.items() for method in methods])
+def test_eval_prints_the_library_result(capsys, family, method):
+    code, out, _ = run(capsys, ["eval", "--family", family, "--method", method,
+                                *FAMILY_FLAGS[family], *MODEL_FLAGS])
+    assert code == 0
+    point = json.loads(out)
+    if method == "closed_form":
+        res = CLOSED_FORMS[family]()
+        expected = res.p_bar, res.delta
+    elif method == "sim":
+        res = simulate(POLICIES[family](), PARAMS, SIM_CONFIG)
+        expected = res.p_bar_hat, res.delta_hat
+    else:  # chain and rvi
+        res = evaluate_exact(POLICIES[family](), PARAMS)
+        expected = res.p_bar, res.delta
+    assert (point["p_bar"], point["delta"]) == expected
+    assert point["method"] == method
+
+
+@pytest.mark.parametrize("family", ["local_only", "mec_only"])
+def test_simulate_prints_the_library_result(capsys, family):
+    code, out, _ = run(capsys, ["simulate", "--family", family, *MODEL_FLAGS])
+    assert code == 0
+    payload = json.loads(out)
+    res = simulate(POLICIES[family](), PARAMS, SIM_CONFIG)
+    assert (payload["p_bar_hat"], payload["delta_hat"]) == (res.p_bar_hat, res.delta_hat)
+    assert (payload["stderr_p"], payload["stderr_delta"]) == (res.stderr_p, res.stderr_delta)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -82,6 +139,10 @@ def test_eval_optimal_reports_lambda_as_param(capsys):
         ["simulate", "--family", "service_threshold", "--zstar", "1000001"],
         ["eval", "--family", "service_threshold", "--zstar", "2000000", "--method", "chain"],
         ["rvi", "--tol", "1e-8"],
+        ["eval", "--family", "age_threshold", "--method", "sim"],  # missing astar
+        ["simulate", "--family", "service_threshold"],  # missing zstar
+        ["frontier", "--astar-range", "5", "1"],
+        ["eval", "--family", "mec_only", "--config", "/nonexistent/cfg.json"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):
@@ -166,6 +227,15 @@ def test_verify_passes_on_reference_instance(capsys):
     assert report["passed"] is True
     assert "1" in report["thresholds"] and "2" in report["thresholds"]
     assert report["structure"]["passed"] is True
+
+
+def test_verify_gain_check_is_relative_at_huge_prices(capsys):
+    # at lam 1e16 the gain is 8.6e10 and the solver and evaluator differ by
+    # one ulp, 1.5e-5, far above an absolute 1e-6
+    _, out, _ = run(capsys, ["verify", "--lambda", "1e16", "--amax", "20",
+                             "--horizon", "100000", "--vi-iters", "20"])
+    checks = {c["name"]: c for c in json.loads(out)["agreement"]}
+    assert checks["rvi_gain_matches_exact_policy_cost"]["passed"] is True
 
 
 def test_verify_perfect_local_server(capsys):

@@ -14,9 +14,9 @@ SCRIPT = f"""
 import contextlib, io, sys
 sys.path.insert(0, {str(SRC)!r})
 from aoi_offload import (ModelParams, SimConfig, age_threshold_policy, brute_force_best_threshold,
-                         build_chain, evaluate_exact, rvi_solve, service_threshold_policy,
-                         simulate, stationary)
+                         evaluate_exact, rvi_solve, service_threshold_policy, simulate)
 from aoi_offload import cli
+from aoi_offload.chain import build_chain, stationary
 
 params = ModelParams(mu=0.3, lam=2.0, a_max=30)
 evaluate_exact(age_threshold_policy(4, params.a_max), params)
@@ -38,6 +38,40 @@ def test_scipy_loads_only_for_the_sparse_chain():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+BLOCKED_SCRIPT = f"""
+import contextlib, importlib.abc, io, os, sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+sys.path.insert(0, {str(SRC)!r})
+import aoi_offload
+from aoi_offload import cli
+
+commands = [["eval", "--family", "mec_only"],
+            ["frontier", "--out", os.path.join(sys.argv[1], "frontier.csv")],
+            ["verify"], ["simulate", "--family", "local_only"], ["rvi"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in commands]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_package_and_commands_run_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: with scipy unimportable, the
+    # package imports and all five commands run at their defaults
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("module", ["aoi_offload", "aoi_offload.core", "aoi_offload.heuristics",
