@@ -54,18 +54,9 @@ _METHODS = {
 
 FAMILIES = tuple(_METHODS)
 
-_CONFIG_KEYS = {
-    "mu": "mu",
-    "lambda": "lam",
-    "beta": "beta",
-    "amax": "a_max",
-    "seed": "seed",
-    "horizon": "horizon",
-    "warmup": "warmup",
-    "batches": "batches",
-    "out": "out",
-    "format": "fmt",
-}
+#: Keys a ``--config`` file may set: each names the flag ``--key``.
+_CONFIG_KEYS = ("mu", "lambda", "beta", "amax", "seed", "horizon", "warmup", "batches", "out",
+                "format")
 
 
 @dataclass(frozen=True)
@@ -239,7 +230,7 @@ def _cmd_rvi(args, parser) -> int:
         "span_residual": report.span_residual,
         "converged": report.converged,
         "threshold_exact": report.threshold_exact,
-        "thresholds": {str(z): t for z, t in report.thresholds.items()},
+        "thresholds": report.thresholds,
     }
     return _emit(json.dumps(payload, indent=2) + "\n", args.out, report.converged)
 
@@ -249,17 +240,8 @@ def _cmd_simulate(args, parser) -> int:
     config = _sim_config(args, parser)
     policy, param = _build_policy(args.family, args, parser, params)
     res = simulate(policy, params, config)
-    payload = {
-        "family": args.family,
-        "param": param,
-        "mu": args.mu,
-        "seed": args.seed,
-        "delta_hat": res.delta_hat,
-        "p_bar_hat": res.p_bar_hat,
-        "stderr_delta": res.stderr_delta,
-        "stderr_p": res.stderr_p,
-        "slots": res.slots,
-    }
+    payload = {"family": args.family, "param": param, "mu": args.mu, "seed": args.seed,
+               **asdict(res)}
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
@@ -271,12 +253,13 @@ def _verify_checks(args, params: ModelParams, config: SimConfig, iterates: list)
     structure = verify_structure(iterates, report.policy)
     agreement = []
 
+    def check(name: str, passed, detail: str) -> None:
+        agreement.append({"name": name, "passed": bool(passed), "detail": detail})
+
     exact = evaluate_exact(report.policy, params)
-    agreement.append({
-        "name": "rvi_gain_matches_exact_policy_cost",
-        "passed": bool(abs(exact.g - report.g) <= max(1e-6, 1e-12 * abs(report.g))),
-        "detail": f"rvi g={report.g!r}, chain g={exact.g!r}",
-    })
+    check("rvi_gain_matches_exact_policy_cost",
+          abs(exact.g - report.g) <= max(1e-6, 1e-12 * abs(report.g)),
+          f"rvi g={report.g!r}, chain g={exact.g!r}")
     for z_star in range(0, 6):
         closed = heuristics.service_threshold_eval(args.mu, z_star)
         chain_res = evaluate_exact(service_threshold_policy(z_star), params)
@@ -284,23 +267,16 @@ def _verify_checks(args, params: ModelParams, config: SimConfig, iterates: list)
             abs(closed.delta - chain_res.delta) / closed.delta,
             abs(closed.p_bar - chain_res.p_bar) / max(closed.p_bar, 1e-15),
         )
-        agreement.append({
-            "name": f"closed_form_vs_chain_z{z_star}",
-            "passed": bool(rel <= 1e-8),
-            "detail": f"max relative difference {rel:.3e}",
-        })
+        check(f"closed_form_vs_chain_z{z_star}", rel <= 1e-8, f"max relative difference {rel:.3e}")
     for z_star in (0, 2, 5):
         closed = heuristics.service_threshold_eval(args.mu, z_star)
         cfg = replace(config, seed=config.seed + z_star)
         sres = simulate(service_threshold_policy(z_star), params, cfg)
         ok = (abs(sres.delta_hat - closed.delta) <= max(3 * sres.stderr_delta, 1e-9)
               and abs(sres.p_bar_hat - closed.p_bar) <= max(3 * sres.stderr_p, 1e-9))
-        agreement.append({
-            "name": f"simulation_vs_closed_form_z{z_star}",
-            "passed": bool(ok),
-            "detail": f"delta_hat={sres.delta_hat!r} (se {sres.stderr_delta:.2e}), "
-                      f"p_bar_hat={sres.p_bar_hat!r} (se {sres.stderr_p:.2e})",
-        })
+        check(f"simulation_vs_closed_form_z{z_star}", ok,
+              f"delta_hat={sres.delta_hat!r} (se {sres.stderr_delta:.2e}), "
+              f"p_bar_hat={sres.p_bar_hat!r} (se {sres.stderr_p:.2e})")
     passed = structure.passed and all(c["passed"] for c in agreement)
     return {
         "passed": passed,
@@ -309,7 +285,7 @@ def _verify_checks(args, params: ModelParams, config: SimConfig, iterates: list)
         "beta": args.beta,
         "a_max": params.a_max,
         "g": report.g,
-        "thresholds": {str(z): t for z, t in report.thresholds.items()},
+        "thresholds": report.thresholds,
         "structure": structure.to_dict(),
         "agreement": agreement,
     }
@@ -416,11 +392,11 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         if type(value) not in (str, int, float):  # JSON true/false/null, arrays, objects
             parser.error(f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
         # read the value as its flag reads it on the command line
-        dest = _CONFIG_KEYS[key]
-        sub, flag = next((sub, a) for sub in subs for a in sub._actions if a.dest == dest)
+        sub, flag = next((sub, a) for sub in subs for a in sub._actions
+                         if f"--{key}" in a.option_strings)
         try:
-            defaults[dest] = sub._get_value(flag, str(value))  # noqa: SLF001
-            sub._check_value(flag, defaults[dest])  # noqa: SLF001
+            defaults[flag.dest] = sub._get_value(flag, str(value))  # noqa: SLF001
+            sub._check_value(flag, defaults[flag.dest])  # noqa: SLF001
         except argparse.ArgumentError as exc:
             parser.error(f"config key {key!r}: {exc}")
     for sub in subs:

@@ -23,9 +23,9 @@ prefix sums.  The full value grid is then rebuilt from ``g`` and ``h`` by
 one backward row sweep of the optimality equation, so the greedy actions,
 thresholds and Bellman residual read off it exactly as from a value
 iteration fixed point.  The name ``rvi_solve`` is kept from the relative
-value iteration this replaced.  One formula gives the local and offload
-sides of a backup; the backup, the greedy actions, the span residual and
-the Bellman residual all read it.
+value iteration this replaced.  ``_backup`` is the one formula of the
+optimality backup: the greedy actions, the span residual, the discounted
+iterates and the Bellman residual all read it.
 """
 
 from __future__ import annotations
@@ -105,23 +105,16 @@ def _base_ages(a_max: int) -> np.ndarray:
     return np.arange(1, a_max + 1, dtype=float) + 0.5
 
 
-def _choices(v: np.ndarray, p: ModelParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides of one optimality backup of ``v`` at its own size, not
-    ``p.a_max``: working locally on the block ``[:-1, :-1]`` (the ceiling row
-    and the top service column have no local branch) and offloading."""
+def _backup(v: np.ndarray, p: ModelParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous sweep of the optimality backup of ``v`` at its own
+    size, not ``p.a_max``, and its local side on the block ``[:-1, :-1]``:
+    the ceiling row and the top service column have no local branch, so
+    they offload."""
     base = _base_ages(v.shape[0])
-    comp = v[:-1, 0]
-    local = base[:-1, None] + beta * (p.mu * comp[None, :] + (1.0 - p.mu) * v[1:, 1:])
-    return local, base + p.lam + beta * v[0, 0]
-
-
-def _backup(v: np.ndarray, p: ModelParams, beta: float) -> np.ndarray:
-    """One synchronous sweep of the optimality backup over the grid."""
-    local, offload = _choices(v, p, beta)
-    out = np.broadcast_to(offload[:, None], v.shape).copy()
-    blk = out[:-1, :-1]
-    np.minimum(local, blk, out=blk)
-    return out
+    local = base[:-1, None] + beta * (p.mu * v[None, :-1, 0] + (1.0 - p.mu) * v[1:, 1:])
+    out = np.repeat((base + p.lam + beta * v[0, 0])[:, None], v.shape[1], axis=1)
+    np.minimum(local, out[:-1, :-1], out=out[:-1, :-1])
+    return out, local
 
 
 def _thresholds_from_actions(u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -137,7 +130,7 @@ def _evaluate(k: np.ndarray, params: ModelParams, w, slots, lags):
     """Average cost ``g`` and relative values ``h`` (``h[d - 1]``, with
     ``h[0] = 0``) of the abort indices ``k`` on the delivery-age chain."""
     a_max = params.a_max
-    cost = (np.arange(1, a_max + 1) + 0.5) * slots[k] + lags[k] + params.lam * w[k]
+    cost = _base_ages(a_max) * slots[k] + lags[k] + params.lam * w[k]
     # h_d + g * slots_d - sum_e P[d, e] h_e = cost_d; with h_1 = 0 pinned,
     # the first column carries g instead
     m = np.eye(a_max) - delivery_matrix(k, params.mu)
@@ -187,7 +180,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     slots, lags = np.cumsum(w), np.cumsum(rows * w)
     # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k slots
     # and every later cycle follows the evaluated policy
-    q_age = (rows + 1.5)[:, None] * slots[None, :]
+    q_age = _base_ages(a_max)[:, None] * slots[None, :]
     q_age[rows[None, :] > a_max - 1 - rows[:, None]] = np.inf
     q_cycle = lags + params.lam * w
     g, h = _evaluate(k, params, w, slots, lags)
@@ -205,13 +198,10 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         g, h = _evaluate(k, params, w, slots, lags)
     v = _rebuild_grid(g, h, params)
     # one backup of the rebuilt grid: the greedy actions offload exactly where
-    # that is strictly cheaper (ties keep the work local), and the ceiling row
-    # and the top service column are forced offloads
-    local, offload = _choices(v, params, 1.0)
+    # that is strictly cheaper (ties keep the work local)
+    t, local = _backup(v, params, 1.0)
     u = np.ones(v.shape, dtype=bool)
-    u[:-1, :-1] = local > offload[:-1, None]
-    diff = offload[:, None] - v
-    diff[:-1, :-1] = np.minimum(local, offload[:-1, None]) - v[:-1, :-1]
+    u[:-1, :-1] = local > t[:-1, :-1]
     thresholds, exact = _thresholds_from_actions(u)
     policy = threshold_table_policy(
         thresholds, name=f"rvi(mu={params.mu:g}, lam={params.lam:g}, a_max={a_max})"
@@ -220,7 +210,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         policy=policy,
         g=g,
         iterations=iterations,
-        span_residual=float(diff.max() - diff.min()),
+        span_residual=float(np.ptp(t - v)),
         converged=converged,
         values=v,
         action_grid=u,
@@ -244,7 +234,7 @@ def discounted_vi(params: ModelParams, n_iters: int) -> list[np.ndarray]:
     v = np.zeros((k + n_iters, k + n_iters))
     grids = [v[:k, :k].copy()]
     for n in range(n_iters, 0, -1):
-        v = _backup(v, params, params.beta)[: k + n - 1, : k + n - 1]
+        v = _backup(v, params, params.beta)[0][: k + n - 1, : k + n - 1]
         grids.append(v[:k, :k].copy())
     return grids
 
@@ -339,7 +329,7 @@ def verify_structure(value_iterates: list[np.ndarray], policy: Policy) -> Struct
 def bellman_residual(report: SolveReport, params: ModelParams) -> float:
     """Max violation of the average-cost optimality equation at the solution."""
     v = report.values
-    t = _backup(v, params, 1.0)
+    t = _backup(v, params, 1.0)[0]
     return float(np.abs(t - v - report.g).max())
 
 

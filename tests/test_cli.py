@@ -265,6 +265,24 @@ def test_rvi_command_reports_gain(capsys):
     assert payload["threshold_exact"] is True
 
 
+def test_simulate_prints_its_inputs_then_the_sim_result(capsys):
+    _, out, _ = run(capsys, ["simulate", "--family", "local_only", "--horizon", "20000"])
+    assert list(json.loads(out)) == ["family", "param", "mu", "seed", "delta_hat", "p_bar_hat",
+                                     "stderr_delta", "stderr_p", "slots"]
+
+
+def test_verify_agreement_names_and_entries(capsys):
+    _, out, _ = run(capsys, ["verify", "--amax", "20", "--vi-iters", "20",
+                             "--horizon", "20000"])
+    agreement = json.loads(out)["agreement"]
+    assert [c["name"] for c in agreement] == [
+        "rvi_gain_matches_exact_policy_cost",
+        *(f"closed_form_vs_chain_z{z}" for z in range(6)),
+        *(f"simulation_vs_closed_form_z{z}" for z in (0, 2, 5)),
+    ]
+    assert all(list(c) == ["name", "passed", "detail"] for c in agreement)
+
+
 def test_simulate_command_roundtrip(tmp_path, capsys):
     out = tmp_path / "sim.json"
     argv = ["simulate", "--family", "service_threshold", "--zstar", "1",
@@ -300,8 +318,10 @@ def test_config_keys_name_registered_flags():
              for sub in subparsers.choices.values()
              for action in sub._actions
              for option in action.option_strings}
-    for key, dest in cli._CONFIG_KEYS.items():
-        assert (f"--{key}", dest) in flags, key
+    for key in cli._CONFIG_KEYS:
+        # a registered flag, with one dest in every subcommand that takes it
+        dests = {dest for option, dest in flags if option == f"--{key}"}
+        assert len(dests) == 1, key
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -56,7 +56,7 @@ def _padded_square_vi(params, n_iters):
     v = np.zeros((pad.a_max, pad.a_max))
     out = [v[:k, :k].copy()]
     for _ in range(n_iters):
-        v = _backup(v, pad, params.beta)
+        v = _backup(v, pad, params.beta)[0]
         out.append(v[:k, :k].copy())
     return out
 
@@ -123,6 +123,16 @@ def test_rvi_satisfies_optimality_equation():
         report = rvi_solve(params)
         assert report.converged
         assert bellman_residual(report, params) <= 1e-8
+
+
+@pytest.mark.parametrize("mu, lam, a_max", [(0.5, 3.0, 50), (0.01, 1.0, 120), (0.9, 20.0, 8)])
+def test_certificate_and_bellman_residual_read_one_backup(mu, lam, a_max):
+    params = ModelParams(mu=mu, lam=lam, a_max=a_max)
+    report = rvi_solve(params)
+    t, local = _backup(report.values, params, 1.0)
+    assert report.span_residual == np.ptp(t - report.values)
+    assert np.array_equal(report.action_grid[:-1, :-1], local > t[:-1, :-1])
+    assert bellman_residual(report, params) == np.abs(t - report.values - report.g).max()
 
 
 def test_gain_matches_exact_evaluation_of_greedy_policy():
