@@ -245,9 +245,10 @@ def _cmd_simulate(args, parser) -> int:
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
-def _verify_checks(args, params: ModelParams, config: SimConfig, iterates: list) -> dict:
+def _verify_checks(args, params: ModelParams, config: SimConfig, iterates) -> dict:
     report = rvi_solve(params)
     if args.inject_corruption:
+        iterates = list(iterates)
         mid = params.a_max // 2
         iterates[-1][mid, 0] -= 10.0 * (1 + abs(iterates[-1]).max())
     structure = verify_structure(iterates, report.policy)
@@ -285,6 +286,7 @@ def _verify_checks(args, params: ModelParams, config: SimConfig, iterates: list)
         "beta": args.beta,
         "a_max": params.a_max,
         "g": report.g,
+        "threshold_exact": report.threshold_exact,
         "thresholds": report.thresholds,
         "structure": structure.to_dict(),
         "agreement": agreement,

@@ -274,7 +274,15 @@ def test_simulate_prints_its_inputs_then_the_sim_result(capsys):
 def test_verify_agreement_names_and_entries(capsys):
     _, out, _ = run(capsys, ["verify", "--amax", "20", "--vi-iters", "20",
                              "--horizon", "20000"])
-    agreement = json.loads(out)["agreement"]
+    payload = json.loads(out)
+    assert payload["threshold_exact"] is True
+    assert [c["name"] for c in payload["structure"]["checks"]] == [
+        "value_nondecreasing_in_age",
+        "value_nondecreasing_in_service",
+        "relative_value_nonnegative",
+        "thresholds_nonincreasing",
+    ]
+    agreement = payload["agreement"]
     assert [c["name"] for c in agreement] == [
         "rvi_gain_matches_exact_policy_cost",
         *(f"closed_form_vs_chain_z{z}" for z in range(6)),
