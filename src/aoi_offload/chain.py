@@ -5,9 +5,9 @@ starts in state ``(d, 0)`` right after an update of age ``d`` is delivered,
 and its slots visit ``(d + j, j)`` for ``j = 0, 1, ...`` until the local
 server finishes (delivering age ``j + 1``) or the policy aborts and offloads
 (delivering age 1).  On those states a deterministic policy is just an abort
-index ``k_d``: work locally for at most ``k_d`` slots, then offload.  Only
-the evaluator caps it, at ``a_max - d`` where its age ceiling forces the
-offload; the simulator has no ceiling and reads ``k_d`` uncapped.
+index ``k_d``: work locally for at most ``k_d`` slots, then offload.  The
+solver and the evaluator cap it at ``a_max - d``, where the age ceiling
+forces the offload; the simulator has no ceiling and reads it uncapped.
 
 The abort indices define a Markov chain on ``d`` with ``a_max`` states: from
 ``d`` it moves to ``j + 1`` with probability ``mu (1 - mu)**j`` for
@@ -59,6 +59,7 @@ __all__ = [
     "occurring_ages",
     "delivery_matrix",
     "delivery_stationary",
+    "cycle_table",
     "ChainModel",
     "build_chain",
     "StationaryDistribution",
@@ -210,6 +211,22 @@ def delivery_stationary(k: np.ndarray, mu: float) -> np.ndarray:
     balance = np.swapaxes(delivery_matrix(k, mu), -1, -2) - np.eye(r)
     balance[..., 0, :] = 1.0
     return np.linalg.solve(balance, np.eye(r)[0])
+
+
+def cycle_table(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delivery-cycle sums per delivered age ``d`` (row ``d - 1``) and abort
+    index ``k``: slot ``j`` is reached with probability ``w[j] = (1 - mu)**j``,
+    so the cycle offloads with probability ``w[k]``, lasts ``slots[k] =
+    sum_{j <= k} w[j]`` and accrues ``age[d - 1, k] = (d + 1/2) slots[k] +
+    sum_{j <= k} j w[j]``, ``inf`` past the ceiling's cap ``k <= a_max - d``.
+    By renewal reward, abort indices ``k_d`` cost ``sum nu_d (age + lam w) /
+    sum nu_d slots`` at ``k_d``, ``nu`` the stationary vector of their chain."""
+    j = np.arange(params.a_max)
+    w = (1.0 - params.mu) ** j
+    slots = np.cumsum(w)
+    age = (j[:, None] + 1.5) * slots + np.cumsum(j * w)
+    age[j[None, :] > params.a_max - 1 - j[:, None]] = np.inf
+    return age, slots, w
 
 
 @dataclass

@@ -16,16 +16,16 @@ quantifies.
 
 The solver is semi-Markov policy iteration (Puterman 1994, ch. 11) on the
 delivery-age chain of ``chain``: a policy is one abort index per delivered
-age, each evaluation is one dense solve of size ``a_max`` for the average
-cost ``g`` and the relative values ``h(d)`` of the delivery states
-``(d, 0)``, and each improvement picks the best abort index per age from
-prefix sums.  The full value grid is then rebuilt from ``g`` and ``h`` by
-one backward row sweep of the optimality equation, so the greedy actions,
-thresholds and Bellman residual read off it exactly as from a value
-iteration fixed point.  The name ``rvi_solve`` is kept from the relative
-value iteration this replaced.  ``_backup`` is the one formula of the
-optimality backup: the greedy actions, the span residual, the discounted
-iterates and the Bellman residual all read it.
+age, and each step evaluates it once, by one dense solve of size ``a_max``
+for the average cost ``g`` and the relative values ``h(d)`` of the delivery
+states ``(d, 0)``, then picks the best abort index per age; both read the
+cycle costs of ``chain.cycle_table``.  ``_rebuild_grid`` solves the
+optimality equation for the full value grid from ``g`` and ``h``, in one
+backward row sweep.  ``_backup`` applies that equation to a given grid:
+one backup of the rebuilt grid gives the greedy actions, thresholds and
+span residual exactly as at a value iteration fixed point, and the Bellman
+residual and the discounted iterates are backups too.  The name
+``rvi_solve`` is kept from the relative value iteration this replaced.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import ModelParams, State
-from .chain import (Policy, abort_indices, delivery_matrix, delivery_stationary,
+from .chain import (Policy, abort_indices, cycle_table, delivery_matrix, delivery_stationary,
                     local_only_policy, threshold_table_policy)
 from .chain import evaluate_exact  # noqa: F401  -- perfbench/tracing.py patches it at this name
 
@@ -128,15 +128,14 @@ def _thresholds_from_actions(u: np.ndarray) -> tuple[np.ndarray, bool]:
     return thresholds, exact
 
 
-def _evaluate(k: np.ndarray, params: ModelParams, w, slots, lags):
+def _evaluate(k: np.ndarray, cost: np.ndarray, slots: np.ndarray, mu: float):
     """Average cost ``g`` and relative values ``h`` (``h[d - 1]``, with
-    ``h[0] = 0``) of the abort indices ``k`` on the delivery-age chain."""
-    a_max = params.a_max
-    cost = _base_ages(a_max) * slots[k] + lags[k] + params.lam * w[k]
+    ``h[0] = 0``) of the abort indices ``k`` on the delivery-age chain, whose
+    cycle from age ``d`` costs ``cost[d - 1]`` and lasts ``slots[d - 1]``."""
     # h_d + g * slots_d - sum_e P[d, e] h_e = cost_d; with h_1 = 0 pinned,
     # the first column carries g instead
-    m = np.eye(a_max) - delivery_matrix(k, params.mu)
-    m[:, 0] = slots[k]
+    m = np.eye(k.size) - delivery_matrix(k, mu)
+    m[:, 0] = slots
     x = np.linalg.solve(m, cost)
     g = float(x[0])
     x[0] = 0.0
@@ -176,20 +175,14 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     a_max = params.a_max
     k = abort_indices(start or local_only_policy(), a_max)
     rows = np.arange(a_max)
-    # slot j of a delivery cycle is reached with probability w_j; a cycle
-    # aborted after k slots lasts slots[k] and accrues d * slots[k] + lags[k]
-    w = (1.0 - params.mu) ** rows
-    slots, lags = np.cumsum(w), np.cumsum(rows * w)
-    # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k slots
-    # and every later cycle follows the evaluated policy
-    q_age = _base_ages(a_max)[:, None] * slots[None, :]
-    q_age[rows[None, :] > a_max - 1 - rows[:, None]] = np.inf
-    q_cycle = lags + params.lam * w
-    g, h = _evaluate(k, params, w, slots, lags)
+    age, slots, w = cycle_table(params)
+    cost = age + params.lam * w
     converged = False
     for iterations in range(1, _MAX_STEPS + 1):
-        future = np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1]))
-        q = q_age - g * slots[None, :] + (q_cycle + future)[None, :]
+        g, h = _evaluate(k, cost[rows, k], slots[k], params.mu)
+        # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k
+        # slots and every later cycle follows the evaluated policy
+        q = cost - g * slots + np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1]))
         best = q.argmin(axis=1)
         current = q[rows, k]
         better = q[rows, best] < current - _IMPROVE_REL_TOL * (1.0 + np.abs(current))
@@ -197,7 +190,6 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
             converged = True
             break
         k = np.where(better, best, k)
-        g, h = _evaluate(k, params, w, slots, lags)
     v = _rebuild_grid(g, h, params)
     # one backup of the rebuilt grid: the greedy actions offload exactly where
     # that is strictly cheaper (ties keep the work local)
@@ -370,16 +362,12 @@ def _table_of(k, bound: int) -> tuple[int, ...]:
             return tuple(table[1:])
 
 
-def _vector_gains(k: np.ndarray, params: ModelParams) -> np.ndarray:
+def _vector_gains(k: np.ndarray, params: ModelParams, age, slots, w) -> np.ndarray:
     """Average cost of each row of abort indices ``k`` by renewal reward on
-    its delivery-age chain, ``g = sum nu_d C_d / sum nu_d slots[k_d]``, with
-    the stationary vectors ``nu`` from one stacked ``delivery_stationary``."""
-    rows = np.arange(k.shape[1] + 1)
-    w = (1.0 - params.mu) ** rows
-    slots, lags = np.cumsum(w)[k], np.cumsum(rows * w)[k]
+    ``cycle_table``, with ``nu`` from one stacked ``delivery_stationary``."""
     nu = delivery_stationary(k, params.mu)
-    cycle = (rows[1:] + 0.5) * slots + lags + params.lam * w[k]
-    return (nu * cycle).sum(axis=1) / (nu * slots).sum(axis=1)
+    cost = age[np.arange(k.shape[1]), k] + params.lam * w[k]
+    return (nu * cost).sum(axis=1) / (nu * slots[k]).sum(axis=1)
 
 
 def brute_force_best_threshold(params: ModelParams, search_bound: int) -> SolveReport:
@@ -405,7 +393,8 @@ def brute_force_best_threshold(params: ModelParams, search_bound: int) -> SolveR
                          f"the largest bound whose candidate abort vectors are searched")
     bound = int(search_bound)
     groups = _abort_vectors(bound)
-    g = [_vector_gains(k, params) for k in groups]
+    table = cycle_table(params)
+    g = [_vector_gains(k, params, *table) for k in groups]
     best_g = min(x.min() for x in g)
     best_tab = max(_table_of(k[i], bound) for k, x in zip(groups, g)
                    for i in np.flatnonzero(x == best_g))

@@ -11,6 +11,7 @@ from aoi_offload.chain import (
     abort_rule,
     age_threshold_policy,
     build_chain,
+    cycle_table,
     delivery_matrix,
     delivery_stationary,
     evaluate_exact,
@@ -22,7 +23,7 @@ from aoi_offload.chain import (
     threshold_table_policy,
 )
 from aoi_offload.core import ModelParams
-from aoi_offload.heuristics import service_threshold_eval
+from aoi_offload.heuristics import service_moments, service_threshold_eval
 from aoi_offload.mdp import (
     _abort_vectors,
     _table_of,
@@ -204,12 +205,40 @@ def test_batched_delivery_matrix_matches_one_vector_at_a_time():
         assert np.array_equal(row, delivery_stationary(kk, 0.35))
 
 
+@pytest.mark.parametrize("mu, a_max", [(0.3, 6), (1.0, 4), (1e-6, 5)])
+def test_cycle_table_matches_direct_sums(mu, a_max):
+    age, slots, w = cycle_table(ModelParams(mu=mu, a_max=a_max))
+    for k in range(a_max):
+        reach = [(1.0 - mu) ** j for j in range(k + 1)]
+        assert w[k] == pytest.approx(reach[-1], rel=1e-13)
+        assert slots[k] == pytest.approx(sum(reach), rel=1e-13)
+        assert slots[k] == pytest.approx(service_moments(mu, k).e_s, rel=1e-12)
+        for d in range(1, a_max - k + 1):  # k <= a_max - d: the cycle fits under the ceiling
+            direct = sum((d + j + 0.5) * r for j, r in enumerate(reach))
+            assert age[d - 1, k] == pytest.approx(direct, rel=1e-13)
+    d, k = np.arange(1, a_max + 1)[:, None], np.arange(a_max)[None, :]
+    assert np.array_equal(np.isinf(age), k > a_max - d)
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.01, 0.1, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("z", [0, 1, 2, 7, 20])
+def test_cycle_table_gives_service_threshold_closed_form(mu, z):
+    # abort after z slots from every occurring age 1..max(z, 1)
+    age, slots, w = cycle_table(ModelParams(mu=mu, a_max=max(2 * z, 2)))
+    k = np.full(max(z, 1), z)
+    nu = delivery_stationary(k, mu)
+    cycle = nu @ slots[k]
+    closed = service_threshold_eval(mu, z)
+    assert nu @ age[np.arange(k.size), k] / cycle == pytest.approx(closed.delta, rel=1e-12)
+    assert nu @ w[k] / cycle == pytest.approx(closed.p_bar, rel=1e-12)
+
+
 @pytest.mark.parametrize("mu, lam", [(0.5, 3.0), (0.15, 11.0)])
 def test_oracle_gains_match_exact_evaluation(mu, lam):
     params = ModelParams(mu=mu, lam=lam, a_max=20)
     exact = {}
     for group in _abort_vectors(8):
-        for k, g in zip(map(tuple, group.tolist()), _vector_gains(group, params)):
+        for k, g in zip(map(tuple, group.tolist()), _vector_gains(group, params, *cycle_table(params))):
             exact[k] = evaluate_exact(threshold_table_policy(_table_of(k, 8)), params).g
             assert g == pytest.approx(exact[k], rel=1e-12)
     assert len(exact) == 34
