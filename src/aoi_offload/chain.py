@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RESET, ModelParams, State, transitions
+from .core import RESET, ModelParams, State, transitions, validate_whole
 from .heuristics import EvalResult, validate_z_star
 
 __all__ = [
@@ -72,16 +72,6 @@ __all__ = [
 NEVER_OFFLOAD = 2**31
 
 
-def _threshold(t) -> int:
-    """``t`` as an ``int``; raises unless it is a whole number >= 1."""
-    try:
-        if int(t) == t and t >= 1:  # int raises on inf and NaN
-            return int(t)
-    except (OverflowError, ValueError):
-        pass
-    raise ValueError("thresholds must be integers >= 1")
-
-
 @dataclass(frozen=True)
 class Policy:
     """Stationary deterministic action rule, total on every state: a table of
@@ -95,7 +85,8 @@ class Policy:
     def __post_init__(self) -> None:
         if len(self.thresholds) == 0:
             raise ValueError("threshold table must not be empty")
-        object.__setattr__(self, "thresholds", tuple(map(_threshold, self.thresholds)))
+        object.__setattr__(self, "thresholds", tuple(
+            validate_whole(t, 1, "thresholds must be integers") for t in self.thresholds))
 
     def action(self, a: int, z: int) -> int:
         return 1 if a >= self.threshold(z) else 0
@@ -112,11 +103,10 @@ def age_threshold_policy(a_star: int, a_max: int) -> Policy:
     state even though trajectories from ``(1, 0)`` only ever hit the
     threshold with equality.
     """
-    if int(a_star) != a_star or a_star < 1:
-        raise ValueError(f"a_star must be an integer >= 1, got {a_star}")
+    a_star = validate_whole(a_star, 1, "a_star must be an integer")
     if a_star > a_max:
         raise ValueError(f"a_star {a_star} exceeds the age ceiling {a_max}")
-    return Policy(name=f"age_threshold({a_star})", thresholds=(int(a_star),))
+    return Policy(name=f"age_threshold({a_star})", thresholds=(a_star,))
 
 
 def service_threshold_policy(z_star: int) -> Policy:
@@ -125,10 +115,10 @@ def service_threshold_policy(z_star: int) -> Policy:
     In state terms: act 1 iff ``z >= z_star``, which at every occurring age
     (``a >= z + 1``) is an age threshold of 1 from column ``z_star`` onward.
     """
-    validate_z_star(z_star)
+    z_star = validate_z_star(z_star)
     return Policy(
         name=f"service_threshold({z_star})",
-        thresholds=(NEVER_OFFLOAD,) * int(z_star) + (1,),
+        thresholds=(NEVER_OFFLOAD,) * z_star + (1,),
     )
 
 
@@ -141,8 +131,7 @@ def mec_only_policy() -> Policy:
 
 
 def threshold_table_policy(table, name: str | None = None) -> Policy:
-    """Policy of ``table``; an array is read with ``tolist``, so ``Policy`` checks Python ints."""
-    table = table.tolist() if isinstance(table, np.ndarray) else table
+    """Policy of ``table``, any iterable of thresholds; ``Policy`` stores them as ints."""
     return Policy(name=name or "threshold_table", thresholds=tuple(table))
 
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, validate_whole
 from . import heuristics
 from .chain import (
     age_threshold_policy,
@@ -76,7 +76,10 @@ def _f12(x: float) -> str:
 
 
 def lambda_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """Log-spaced prices in (lo, hi]: the left endpoint is excluded."""
+    """``count`` log-spaced prices in (lo, hi]: the left endpoint is excluded."""
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"need 0 < lambda-min < lambda-max < inf, got {lo} and {hi}")
+    count = validate_whole(count, 1, "lambda-count must be an integer")
     return np.geomspace(lo, hi, count + 1)[1:]
 
 
@@ -201,15 +204,13 @@ def _cmd_frontier(args, parser) -> int:
     for flag, stars in (("--astar-range", a_stars), ("--zstar-range", z_stars)):
         if not stars:
             parser.error(f"empty {flag}")
-    if not (args.lambda_count >= 1 and 0 < args.lambda_min < args.lambda_max < math.inf):
-        parser.error("need 0 < lambda-min < lambda-max and lambda-count >= 1")
+    lambdas = _checked(parser, lambda_grid, args.lambda_min, args.lambda_max, args.lambda_count)
     a_max = _resolve_a_max(args)
     _checked(parser, ModelParams, mu=args.mu, a_max=a_max)
     # a range passes when its ends do, so the sweep cannot fail part way
     for a_star, z_star in ((a_stars[0], z_stars[0]), (a_stars[-1], z_stars[-1])):
         _checked(parser, age_threshold_policy, a_star, a_max)
         _checked(parser, heuristics.validate_z_star, z_star)
-    lambdas = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
     points = frontier_points(args.mu, a_stars, z_stars, lambdas, a_max)
     if args.fmt == "csv":
         text = _render_csv(points)
@@ -271,7 +272,7 @@ def _verify_checks(args, params: ModelParams, config: SimConfig, iterates) -> di
         check(f"closed_form_vs_chain_z{z_star}", rel <= 1e-8, f"max relative difference {rel:.3e}")
     for z_star in (0, 2, 5):
         closed = heuristics.service_threshold_eval(args.mu, z_star)
-        cfg = replace(config, seed=config.seed + z_star)
+        cfg = replace(config, seed=(config.seed + z_star) % 2**64)
         sres = simulate(service_threshold_policy(z_star), params, cfg)
         ok = (abs(sres.delta_hat - closed.delta) <= max(3 * sres.stderr_delta, 1e-9)
               and abs(sres.p_bar_hat - closed.p_bar) <= max(3 * sres.stderr_p, 1e-9))
@@ -315,7 +316,7 @@ def _add_model_flags(sub, mu_default=0.5, price=True):
 
 
 def _add_sim_flags(sub):
-    sub.add_argument("--seed", type=int, default=1, help="64-bit stream seed")
+    sub.add_argument("--seed", type=int, default=1, help="stream seed in [0, 2**64)")
     sub.add_argument("--horizon", type=int, default=1_000_000, help="slots to simulate")
     sub.add_argument("--warmup", type=int, default=None,
                      help="slots discarded before averaging (default 1%% of horizon)")

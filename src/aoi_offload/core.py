@@ -29,6 +29,7 @@ __all__ = [
     "validate_state",
     "validate_rate",
     "validate_price",
+    "validate_whole",
 ]
 
 LOCAL = 0
@@ -51,6 +52,18 @@ class Transition(NamedTuple):
 
 #: State right after an edge-served update is delivered.
 RESET = State(1, 0)
+
+
+def validate_whole(x, least: int, what: str) -> int:
+    """``int(x)`` when ``x`` is a whole number >= ``least``, so whole floats and numpy
+    scalars normalise; else, inf, NaN and non-numbers too, ``ValueError("<what> >=
+    <least>, got <x>")``, ``what`` naming the input: "a_max must be an integer"."""
+    try:
+        if int(x) == x and x >= least:  # int raises on inf, NaN and non-numbers
+            return int(x)
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} >= {least}, got {x}")
 
 
 def validate_rate(mu: float) -> None:
@@ -85,8 +98,8 @@ class ModelParams:
         validate_price(self.lam)
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if int(self.a_max) != self.a_max or self.a_max < 2:
-            raise ValueError(f"a_max must be an integer >= 2, got {self.a_max}")
+        a_max = validate_whole(self.a_max, 2, "a_max must be an integer")
+        object.__setattr__(self, "a_max", a_max)
 
 
 def validate_state(s: State) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import validate_price, validate_rate
+from .core import validate_price, validate_rate, validate_whole
 
 __all__ = [
     "EvalResult",
@@ -64,12 +64,12 @@ class ServiceMoments:
     e_y: float
 
 
-def validate_z_star(z_star: int) -> None:
-    """Reject a service threshold outside the integers ``0..Z_STAR_CAP``."""
-    if int(z_star) != z_star or z_star < 0:
-        raise ValueError(f"z_star must be a non-negative integer, got {z_star}")
+def validate_z_star(z_star: int) -> int:
+    """``z_star`` as an ``int``; raises outside the integers ``0..Z_STAR_CAP``."""
+    z_star = validate_whole(z_star, 0, "z_star must be an integer")
     if z_star > Z_STAR_CAP:
         raise ValueError(f"z_star {z_star} exceeds the supported cap {Z_STAR_CAP}")
+    return z_star
 
 
 def local_only(mu: float, lam: float = 0.0) -> EvalResult:
@@ -102,7 +102,7 @@ def _renewal_sums(mu: float, z_star: int) -> tuple[float, float, float, float]:
     """E[S], E[Y], the mean slot offset ``m(z_star + 1)`` of a cycle and the
     probability ``(1 - mu)**z_star`` that it ends in an offload."""
     validate_rate(mu)
-    validate_z_star(z_star)
+    z_star = validate_z_star(z_star)
     if z_star == 0 or mu == 1.0:
         # every cycle is a single slot (abort immediately, or the local
         # processor never needs more), so S = Y = 1 identically

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ModelParams, State
+from .core import ModelParams, State, validate_whole
 from .chain import (Policy, abort_indices, cycle_table, delivery_matrix, delivery_stationary,
                     local_only_policy, threshold_table_policy)
 from .chain import evaluate_exact  # noqa: F401  -- perfbench/tracing.py patches it at this name
@@ -224,9 +224,7 @@ def discounted_vi(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
     runs on the previous grid, whose last row and column are the only ones
     the ceiling touches, and slices them off.
     """
-    if n_iters < 0:
-        raise ValueError("n_iters must be >= 0")
-    return _discounted_iterates(params, n_iters)
+    return _discounted_iterates(params, validate_whole(n_iters, 0, "n_iters must be an integer"))
 
 
 def _discounted_iterates(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
@@ -384,14 +382,12 @@ def brute_force_best_threshold(params: ModelParams, search_bound: int) -> SolveR
     ``iterations`` counts the vectors evaluated.  Bounds above
     ``_MAX_SEARCH_BOUND`` are rejected up front.
     """
-    if int(search_bound) != search_bound or search_bound < 1:
-        raise ValueError(f"search_bound must be an integer >= 1, got {search_bound}")
-    if search_bound > params.a_max:
-        raise ValueError(f"search_bound {search_bound} exceeds a_max {params.a_max}")
-    if search_bound > _MAX_SEARCH_BOUND:
-        raise ValueError(f"search_bound {search_bound} exceeds {_MAX_SEARCH_BOUND}, "
+    bound = validate_whole(search_bound, 1, "search_bound must be an integer")
+    if bound > params.a_max:
+        raise ValueError(f"search_bound {bound} exceeds a_max {params.a_max}")
+    if bound > _MAX_SEARCH_BOUND:
+        raise ValueError(f"search_bound {bound} exceeds {_MAX_SEARCH_BOUND}, "
                          f"the largest bound whose candidate abort vectors are searched")
-    bound = int(search_bound)
     groups = _abort_vectors(bound)
     table = cycle_table(params)
     g = [_vector_gains(k, params, *table) for k in groups]
@@ -399,7 +395,7 @@ def brute_force_best_threshold(params: ModelParams, search_bound: int) -> SolveR
     best_tab = max(_table_of(k[i], bound) for k, x in zip(groups, g)
                    for i in np.flatnonzero(x == best_g))
     policy = threshold_table_policy(
-        best_tab, name=f"brute_force(bound={search_bound}, mu={params.mu:g}, lam={params.lam:g})"
+        best_tab, name=f"brute_force(bound={bound}, mu={params.mu:g}, lam={params.lam:g})"
     )
     return SolveReport(
         policy=policy,

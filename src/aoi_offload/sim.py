@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Policy, abort_rule
-from .core import ModelParams
+from .core import ModelParams, validate_whole
 
 __all__ = ["SimConfig", "SimResult", "uniforms", "simulate", "batch_stderr"]
 
@@ -59,7 +59,7 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Horizon in slots, 64-bit seed, warmup slots discarded before averaging
+    """Horizon in slots, seed in [0, 2**64), warmup slots discarded before averaging
     (default 1% of the horizon) and the number of batches for the standard
     errors."""
 
@@ -69,12 +69,12 @@ class SimConfig:
     batches: int = 20
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.warmup is not None and not 0 <= self.warmup < self.horizon:
-            raise ValueError("warmup must satisfy 0 <= warmup < horizon")
-        if self.batches < 10:
-            raise ValueError("need at least 10 batches for batch-means errors")
+        for name, least in (("horizon", 1), ("seed", 0), ("warmup", 0), ("batches", 10)):
+            if name != "warmup" or self.warmup is not None:  # None: 1% of the horizon
+                value = validate_whole(getattr(self, name), least, f"{name} must be an integer")
+                object.__setattr__(self, name, value)
+        if self.seed > _MASK:  # uniforms would read it mod 2**64, as another seed
+            raise ValueError(f"seed must be below 2**64, got {self.seed}")
         if (self.horizon - self.resolved_warmup()) // self.batches < 1:
             raise ValueError("horizon too short for the requested warmup and batches")
 

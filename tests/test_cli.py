@@ -142,6 +142,10 @@ def test_simulate_prints_the_library_result(capsys, family):
         ["eval", "--family", "age_threshold", "--method", "sim"],  # missing astar
         ["simulate", "--family", "service_threshold"],  # missing zstar
         ["frontier", "--astar-range", "5", "1"],
+        ["frontier", "--lambda-min", "3", "--lambda-max", "0.01"],
+        ["frontier", "--lambda-count", "0"],
+        ["simulate", "--family", "local_only", "--seed", "-5"],
+        ["simulate", "--family", "local_only", "--seed", str(2**64 + 1)],
         ["eval", "--family", "mec_only", "--config", "/nonexistent/cfg.json"],
     ],
 )
@@ -289,6 +293,16 @@ def test_verify_agreement_names_and_entries(capsys):
         *(f"simulation_vs_closed_form_z{z}" for z in (0, 2, 5)),
     ]
     assert all(list(c) == ["name", "passed", "detail"] for c in agreement)
+
+
+def test_verify_simulation_seeds_wrap_at_2_to_the_64(capsys):
+    # check z draws from seed + z mod 2**64, the stream uniforms reads for it
+    _, out, _ = run(capsys, ["verify", "--seed", str(2**64 - 1), "--amax", "20",
+                             "--vi-iters", "5", "--horizon", "20000"])
+    checks = {c["name"]: c["detail"] for c in json.loads(out)["agreement"]}
+    res = simulate(service_threshold_policy(2), ModelParams(mu=0.5, lam=3.0, a_max=20),
+                   SimConfig(horizon=20000, seed=1))
+    assert checks["simulation_vs_closed_form_z2"].startswith(f"delta_hat={res.delta_hat!r} ")
 
 
 def test_simulate_command_roundtrip(tmp_path, capsys):

@@ -106,3 +106,29 @@ def test_every_import_is_used(path):
     # pyflakes' F401 without pyflakes: an import that a removed parameter or
     # function leaves behind fails here
     assert _unused_imports(path) == []
+
+
+
+def _compares_int_with_itself(node: ast.Compare) -> bool:
+    """Whether ``node`` holds ``int(e) == e`` or ``int(e) != e``, either way round."""
+    sides = [node.left, *node.comparators]
+    return any(isinstance(op, (ast.Eq, ast.NotEq)) and any(
+        isinstance(a, ast.Call) and isinstance(a.func, ast.Name) and a.func.id == "int"
+        and len(a.args) == 1 and ast.dump(a.args[0]) == ast.dump(b)
+        for a, b in ((left, right), (right, left)))
+        for op, left, right in zip(node.ops, sides, sides[1:]))
+
+
+def test_whole_number_rule_is_stated_once():
+    # "is x a whole number" is core.validate_whole's alone: every other
+    # count, size, seed and threshold check calls it
+    found = []
+    for path in sorted((SRC / "aoi_offload").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Lambda))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and _compares_int_with_itself(node):
+                owner = next((getattr(f, "name", "<lambda>") for f in funcs
+                              if f.lineno <= node.lineno <= f.end_lineno), None)
+                found.append((path.stem, owner))
+    assert found == [("core", "validate_whole")]
