@@ -33,6 +33,7 @@ from .chain import (
     service_threshold_policy,
 )
 from .mdp import (
+    check_grid_side,
     default_a_max,
     discounted_vi,
     rvi_solve,
@@ -130,6 +131,7 @@ def _build_policy(family: str, args, parser, params: ModelParams):
         if args.zstar is None:
             parser.error("service_threshold requires --zstar >= 0")
         return _checked(parser, service_threshold_policy, args.zstar), float(args.zstar)
+    _checked(parser, check_grid_side, params.a_max)
     return rvi_solve(params).policy, float(args.lam)
 
 
@@ -207,6 +209,7 @@ def _cmd_frontier(args, parser) -> int:
     lambdas = _checked(parser, lambda_grid, args.lambda_min, args.lambda_max, args.lambda_count)
     a_max = _resolve_a_max(args)
     _checked(parser, ModelParams, mu=args.mu, a_max=a_max)
+    _checked(parser, check_grid_side, a_max)
     # a range passes when its ends do, so the sweep cannot fail part way
     for a_star, z_star in ((a_stars[0], z_stars[0]), (a_stars[-1], z_stars[-1])):
         _checked(parser, age_threshold_policy, a_star, a_max)
@@ -221,6 +224,7 @@ def _cmd_frontier(args, parser) -> int:
 
 def _cmd_rvi(args, parser) -> int:
     params = _model_params(args, parser)
+    _checked(parser, check_grid_side, params.a_max)
     report = rvi_solve(params)
     payload = {
         "mu": args.mu,

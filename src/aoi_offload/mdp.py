@@ -24,7 +24,9 @@ optimality equation for the full value grid from ``g`` and ``h``, in one
 backward row sweep.  ``_backup`` applies that equation to a given grid:
 one backup of the rebuilt grid gives the greedy actions, thresholds and
 span residual exactly as at a value iteration fixed point, and the Bellman
-residual and the discounted iterates are backups too.  The name
+residual and the discounted iterates are backups too.  The solve reads
+its grid once and keeps only ``g`` and ``h``, from which
+``bellman_residual`` rebuilds it.  The name
 ``rvi_solve`` is kept from the relative value iteration this replaced.
 """
 
@@ -52,6 +54,7 @@ __all__ = [
     "bellman_residual",
     "sweep_lambdas",
     "default_a_max",
+    "check_grid_side",
 ]
 
 #: Tolerance of ``verify_structure``'s value checks, relative to 1 + max |value|.
@@ -65,6 +68,20 @@ _MAX_STEPS = 100_000
 #: The exhaustive oracle's largest search bound: F(25) = 75,025 abort vectors,
 #: about 0.6 s and 120 MB on 2 CPUs.
 _MAX_SEARCH_BOUND = 24
+
+#: The largest side of an ``(a, z)`` grid, checked before one is allocated, for a
+#: budget of about 0.5 GB: at side 3200 a solve peaks at 362 MB RSS and the
+#: discounted iterates at 341 MB, about 33 B per cell (2 CPUs, one BLAS thread).
+_MAX_GRID_SIDE = 3200
+
+
+def check_grid_side(side: int, what: str = "a_max") -> int:
+    """``side`` if an ``(a, z)`` grid of that side is within ``_MAX_GRID_SIDE``,
+    else ``ValueError`` naming the limit; ``what`` names the side."""
+    if side > _MAX_GRID_SIDE:
+        raise ValueError(f"{what} {side} exceeds {_MAX_GRID_SIDE}, "
+                         f"the largest side of an (a, z) value grid")
+    return side
 
 
 def default_a_max(mu: float) -> int:
@@ -81,6 +98,9 @@ class SolveReport:
     ``thresholds`` trimmed at the first saturated column (one whose threshold
     already fires at every occurring age).  ``threshold_exact`` records
     whether the greedy action grid was exactly an age-threshold table.
+    ``h[d - 1]`` is the relative value of delivery state ``(d, 0)``, with
+    ``h[0] = 0`` (``None`` from the oracle); the solve's value grid is
+    ``_rebuild_grid(g, h, params)``.
     """
 
     policy: Policy
@@ -88,8 +108,7 @@ class SolveReport:
     iterations: int
     span_residual: float
     converged: bool
-    values: np.ndarray | None = None
-    action_grid: np.ndarray | None = None
+    h: np.ndarray | None = None
     threshold_exact: bool = True
 
     @property
@@ -155,7 +174,8 @@ def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
     for i in range(a_max - 2, -1, -1):
         local = base[i] + comp + (1.0 - params.mu) * v[i + 1, 1:]
         np.minimum(local, offload[i], out=v[i, :-1])
-    return v - v[0, 0]
+    v -= v[0, 0]
+    return v
 
 
 def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
@@ -172,11 +192,11 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     the span of one optimality backup of the rebuilt grid minus the grid,
     which is zero at an exact solution.
     """
-    a_max = params.a_max
+    a_max = check_grid_side(params.a_max)
     k = abort_indices(start or local_only_policy(), a_max)
     rows = np.arange(a_max)
-    age, slots, w = cycle_table(params)
-    cost = age + params.lam * w
+    cost, slots, w = cycle_table(params)
+    cost += params.lam * w  # the age table becomes the cost table
     converged = False
     for iterations in range(1, _MAX_STEPS + 1):
         g, h = _evaluate(k, cost[rows, k], slots[k], params.mu)
@@ -190,6 +210,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
             converged = True
             break
         k = np.where(better, best, k)
+    del cost, q  # the grid's backup needs neither
     v = _rebuild_grid(g, h, params)
     # one backup of the rebuilt grid: the greedy actions offload exactly where
     # that is strictly cheaper (ties keep the work local)
@@ -206,8 +227,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         iterations=iterations,
         span_residual=float(np.ptp(t - v)),
         converged=converged,
-        values=v,
-        action_grid=u,
+        h=h,
         threshold_exact=exact,
     )
 
@@ -224,7 +244,9 @@ def discounted_vi(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
     runs on the previous grid, whose last row and column are the only ones
     the ceiling touches, and slices them off.
     """
-    return _discounted_iterates(params, validate_whole(n_iters, 0, "n_iters must be an integer"))
+    n_iters = validate_whole(n_iters, 0, "n_iters must be an integer")
+    check_grid_side(params.a_max + n_iters, "a_max + n_iters")
+    return _discounted_iterates(params, n_iters)
 
 
 def _discounted_iterates(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
@@ -310,8 +332,14 @@ def verify_structure(value_iterates: Iterable[np.ndarray], policy: Policy) -> St
 
 
 def bellman_residual(report: SolveReport, params: ModelParams) -> float:
-    """Max violation of the average-cost optimality equation at the solution."""
-    v = report.values
+    """Max violation of the average-cost optimality equation on the value
+    grid rebuilt from ``report``'s ``g`` and ``h``, which must come from a
+    solve at ``params.a_max``."""
+    if report.h is None:
+        raise ValueError(f"report of {report.policy.name} has no delivery values h")
+    if len(report.h) != params.a_max:
+        raise ValueError(f"report has {len(report.h)} delivery values, a_max is {params.a_max}")
+    v = _rebuild_grid(report.g, report.h, params)
     t = _backup(v, params, 1.0)[0]
     return float(np.abs(t - v - report.g).max())
 

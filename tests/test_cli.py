@@ -147,6 +147,13 @@ def test_simulate_prints_the_library_result(capsys, family):
         ["simulate", "--family", "local_only", "--seed", "-5"],
         ["simulate", "--family", "local_only", "--seed", str(2**64 + 1)],
         ["eval", "--family", "mec_only", "--config", "/nonexistent/cfg.json"],
+        # value grids past the side limit
+        ["rvi", "--amax", "100000", "--mu", "0.5"],
+        ["eval", "--family", "optimal", "--amax", "100000"],
+        ["simulate", "--family", "optimal", "--amax", "100000"],
+        ["verify", "--amax", "100000"],
+        ["verify", "--amax", "50", "--vi-iters", "100000"],
+        ["frontier", "--amax", "100000"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):
@@ -163,6 +170,11 @@ def test_invalid_flags_exit_2(capsys, argv):
         ("frontier_points", ["frontier", "--mu", "0.5", "--amax", "50",
                              "--astar-range", "1", "51"]),
         ("frontier_points", ["frontier", "--zstar-range", "0", "2000000"]),
+        ("rvi_solve", ["rvi", "--amax", "100000", "--mu", "0.5"]),
+        ("rvi_solve", ["eval", "--family", "optimal", "--amax", "100000"]),
+        ("rvi_solve", ["simulate", "--family", "optimal", "--amax", "100000"]),
+        ("rvi_solve", ["verify", "--amax", "100000"]),
+        ("frontier_points", ["frontier", "--amax", "100000"]),
     ],
 )
 def test_invalid_flags_exit_2_before_any_work(monkeypatch, capsys, work, argv):
@@ -173,6 +185,13 @@ def test_invalid_flags_exit_2_before_any_work(monkeypatch, capsys, work, argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+def test_oversized_grid_message_names_the_limit(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["rvi", "--amax", "100000", "--mu", "0.5"])
+    assert err.value.code == 2
+    assert "a_max 100000 exceeds 3200, the largest side" in capsys.readouterr().err
 
 
 def test_frontier_small_grid(tmp_path, capsys):

@@ -13,9 +13,11 @@ from aoi_offload.chain import (
     service_threshold_policy,
     threshold_table_policy,
 )
+from aoi_offload.cli import lambda_grid
 from aoi_offload.core import ModelParams, State
 from aoi_offload.mdp import (
     _backup,
+    _rebuild_grid,
     bellman_residual,
     brute_force_best_threshold,
     default_a_max,
@@ -30,8 +32,9 @@ def test_perfect_local_server_never_pays():
     report = rvi_solve(ModelParams(mu=1.0, lam=5.0, a_max=50))
     assert report.converged
     assert report.g == pytest.approx(1.5, abs=1e-9)
-    # on the occurring column (fresh update in service) the edge is never used
-    assert not report.action_grid[:-1, 0].any()
+    # on the occurring column (fresh update in service) the edge is never
+    # used: column 0 offloads only at the ceiling
+    assert report.full_thresholds[0] == 50
 
 
 def test_free_edge_is_used_everywhere():
@@ -160,14 +163,52 @@ def test_rvi_satisfies_optimality_equation():
         assert bellman_residual(report, params) <= 1e-8
 
 
+def test_bellman_residual_needs_the_solves_delivery_values():
+    params = ModelParams(mu=0.5, lam=3.0, a_max=20)
+    oracle = brute_force_best_threshold(params, search_bound=8)
+    with pytest.raises(ValueError, match="no delivery values"):
+        bellman_residual(oracle, params)
+    report = rvi_solve(ModelParams(mu=0.5, lam=3.0, a_max=30))
+    with pytest.raises(ValueError, match="30 delivery values, a_max is 20"):
+        bellman_residual(report, params)
+
+
+def test_grids_over_the_side_limit_are_refused_before_allocation():
+    # 100000 is far over the limit: a check placed after the allocation
+    # would fail at once on numpy's refusal of a 74.5 GiB array
+    with pytest.raises(ValueError, match="a_max 100000 exceeds 3200"):
+        rvi_solve(ModelParams(mu=0.5, a_max=100000))
+    with pytest.raises(ValueError, match="a_max \\+ n_iters 100050 exceeds 3200"):
+        discounted_vi(ModelParams(mu=0.5, a_max=50), 100000)
+
+
+def test_sweep_retains_no_value_grid():
+    # the 25 default frontier prices at a_max 400 held 34 MB of grids when
+    # each report kept its (a, z) values and actions
+    tracemalloc.start()
+    try:
+        sweep = sweep_lambdas(0.01, lambda_grid(0.01, 50, 25), 400)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep) == 25
+    assert retained < 2**20
+
+
 @pytest.mark.parametrize("mu, lam, a_max", [(0.5, 3.0, 50), (0.01, 1.0, 120), (0.9, 20.0, 8)])
 def test_certificate_and_bellman_residual_read_one_backup(mu, lam, a_max):
     params = ModelParams(mu=mu, lam=lam, a_max=a_max)
     report = rvi_solve(params)
-    t, local = _backup(report.values, params, 1.0)
-    assert report.span_residual == np.ptp(t - report.values)
-    assert np.array_equal(report.action_grid[:-1, :-1], local > t[:-1, :-1])
-    assert bellman_residual(report, params) == np.abs(t - report.values - report.g).max()
+    v = _rebuild_grid(report.g, report.h, params)
+    t, local = _backup(v, params, 1.0)
+    assert report.span_residual == np.ptp(t - v)
+    u = np.ones(v.shape, dtype=bool)
+    u[:-1, :-1] = local > t[:-1, :-1]
+    thresholds = u.argmax(axis=0) + 1  # first offloading row per column
+    assert report.full_thresholds == tuple(thresholds)
+    assert report.threshold_exact == np.array_equal(
+        u, np.arange(1, a_max + 1)[:, None] >= thresholds)
+    assert bellman_residual(report, params) == np.abs(t - v - report.g).max()
 
 
 def test_gain_matches_exact_evaluation_of_greedy_policy():
@@ -242,7 +283,7 @@ def test_cold_start_is_the_local_only_start(mu, lam, a_max):
     cold, local = rvi_solve(params), rvi_solve(params, start=local_only_policy())
     assert (local.iterations, local.g, local.full_thresholds) == (
         cold.iterations, cold.g, cold.full_thresholds)
-    assert np.array_equal(local.values, cold.values)
+    assert local.h.tobytes() == cold.h.tobytes()
 
 
 @pytest.mark.parametrize("mu, lam, a_max", [(0.5, 3.0, 50), (0.01, 1.0, 120)])
