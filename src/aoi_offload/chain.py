@@ -202,20 +202,17 @@ def delivery_stationary(k: np.ndarray, mu: float) -> np.ndarray:
     return np.linalg.solve(balance, np.eye(r)[0])
 
 
-def cycle_table(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delivery-cycle sums per delivered age ``d`` (row ``d - 1``) and abort
-    index ``k``: slot ``j`` is reached with probability ``w[j] = (1 - mu)**j``,
-    so the cycle offloads with probability ``w[k]``, lasts ``slots[k] =
-    sum_{j <= k} w[j]`` and accrues ``age[d - 1, k] = (d + 1/2) slots[k] +
-    sum_{j <= k} j w[j]``, ``inf`` past the ceiling's cap ``k <= a_max - d``.
-    By renewal reward, abort indices ``k_d`` cost ``sum nu_d (age + lam w) /
-    sum nu_d slots`` at ``k_d``, ``nu`` the stationary vector of their chain."""
-    j = np.arange(params.a_max)
+def cycle_table(params: ModelParams, n: int | None = None) -> tuple[np.ndarray, ...]:
+    """Delivery-cycle sums ``(slots, lags, w)`` per abort index ``k < n``
+    (default ``a_max``): slot ``j`` is reached with probability ``w[j] =
+    (1 - mu)**j``, so the cycle offloads with probability ``w[k]``, lasts
+    ``slots[k] = sum_{j <= k} w[j]`` and, from delivered age ``d``, accrues
+    the age ``(d + 1/2) slots[k] + lags[k]``, ``lags[k] = sum_{j <= k} j w[j]``.
+    By renewal reward, abort indices ``k_d <= a_max - d`` cost ``sum nu_d (age
+    + lam w) / sum nu_d slots`` at ``k_d``, ``nu`` the stationary vector of their chain."""
+    j = np.arange(params.a_max if n is None else n)
     w = (1.0 - params.mu) ** j
-    slots = np.cumsum(w)
-    age = (j[:, None] + 1.5) * slots + np.cumsum(j * w)
-    age[j[None, :] > params.a_max - 1 - j[:, None]] = np.inf
-    return age, slots, w
+    return np.cumsum(w), np.cumsum(j * w), w
 
 
 @dataclass

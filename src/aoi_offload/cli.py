@@ -252,10 +252,6 @@ def _cmd_simulate(args, parser) -> int:
 
 def _verify_checks(args, params: ModelParams, config: SimConfig, iterates) -> dict:
     report = rvi_solve(params)
-    if args.inject_corruption:
-        iterates = list(iterates)
-        mid = params.a_max // 2
-        iterates[-1][mid, 0] -= 10.0 * (1 + abs(iterates[-1]).max())
     structure = verify_structure(iterates, report.policy)
     agreement = []
 
@@ -362,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="discount factor of the value iterates")
     p_verify.add_argument("--vi-iters", type=int, default=300,
                           help="discounted iterates for the structure checks")
-    p_verify.add_argument("--inject-corruption", action="store_true",
-                          help="corrupt one value entry to prove the checks can fail")
     p_verify.set_defaults(func=_cmd_verify, lam=3.0, seed=123456)
 
     p_sim = subs.add_parser("simulate", help="Monte Carlo one policy")

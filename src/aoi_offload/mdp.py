@@ -184,25 +184,28 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     Starts from the abort indices of ``start`` (local-only when omitted) at
     this ceiling, so a policy solved at any ``a_max`` or price warm-starts
     it, and alternates exact evaluation with improvement over every abort
-    index ``k <= a_max - d`` per delivered age ``d``.  An age keeps its
-    abort index unless another lowers its value by more than ``1e-10``
-    relative to its size, and the loop stops at the first step that changes
-    nothing (``converged`` is false if the 100,000-step guard stops it
-    first).  ``iterations`` counts improvement steps; ``span_residual`` is
-    the span of one optimality backup of the rebuilt grid minus the grid,
-    which is zero at an exact solution.
+    index ``k <= a_max - d`` per delivered age ``d``, both summed from the
+    vectors of ``cycle_table``.  An age keeps its abort index unless another
+    lowers its value by more than ``1e-10`` relative to its size, and the
+    loop stops at the first step that changes nothing (``converged`` is
+    false if the 100,000-step guard stops it first).  ``iterations`` counts
+    improvement steps; ``span_residual`` is the span of one optimality
+    backup of the rebuilt grid minus the grid, zero at an exact solution.
     """
     a_max = check_grid_side(params.a_max)
     k = abort_indices(start or local_only_policy(), a_max)
     rows = np.arange(a_max)
-    cost, slots, w = cycle_table(params)
-    cost += params.lam * w  # the age table becomes the cost table
+    base = _base_ages(a_max)
+    slots, lags, w = cycle_table(params)
+    capped = rows > a_max - 1 - rows[:, None]  # k > a_max - d: past the ceiling
     converged = False
     for iterations in range(1, _MAX_STEPS + 1):
-        g, h = _evaluate(k, cost[rows, k], slots[k], params.mu)
+        g, h = _evaluate(k, base * slots[k] + lags[k] + params.lam * w[k], slots[k], params.mu)
         # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k
         # slots and every later cycle follows the evaluated policy
-        q = cost - g * slots + np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1]))
+        q = (np.multiply.outer(base, slots) + lags + params.lam * w - g * slots
+             + np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1])))
+        q[capped] = np.inf
         best = q.argmin(axis=1)
         current = q[rows, k]
         better = q[rows, best] < current - _IMPROVE_REL_TOL * (1.0 + np.abs(current))
@@ -210,7 +213,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
             converged = True
             break
         k = np.where(better, best, k)
-    del cost, q  # the grid's backup needs neither
+    del q, capped  # the grid's backup needs neither
     v = _rebuild_grid(g, h, params)
     # one backup of the rebuilt grid: the greedy actions offload exactly where
     # that is strictly cheaper (ties keep the work local)
@@ -388,11 +391,12 @@ def _table_of(k, bound: int) -> tuple[int, ...]:
             return tuple(table[1:])
 
 
-def _vector_gains(k: np.ndarray, params: ModelParams, age, slots, w) -> np.ndarray:
-    """Average cost of each row of abort indices ``k`` by renewal reward on
-    ``cycle_table``, with ``nu`` from one stacked ``delivery_stationary``."""
+def _vector_gains(k: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Average cost of each row of abort indices ``k``, each at most ``k.shape[1]``, by
+    renewal reward on ``cycle_table`` with ``nu`` from one stacked ``delivery_stationary``."""
+    slots, lags, w = cycle_table(params, k.shape[1] + 1)
     nu = delivery_stationary(k, params.mu)
-    cost = age[np.arange(k.shape[1]), k] + params.lam * w[k]
+    cost = _base_ages(k.shape[1]) * slots[k] + lags[k] + params.lam * w[k]
     return (nu * cost).sum(axis=1) / (nu * slots[k]).sum(axis=1)
 
 
@@ -417,8 +421,7 @@ def brute_force_best_threshold(params: ModelParams, search_bound: int) -> SolveR
         raise ValueError(f"search_bound {bound} exceeds {_MAX_SEARCH_BOUND}, "
                          f"the largest bound whose candidate abort vectors are searched")
     groups = _abort_vectors(bound)
-    table = cycle_table(params)
-    g = [_vector_gains(k, params, *table) for k in groups]
+    g = [_vector_gains(k, params) for k in groups]
     best_g = min(x.min() for x in g)
     best_tab = max(_table_of(k[i], bound) for k, x in zip(groups, g)
                    for i in np.flatnonzero(x == best_g))

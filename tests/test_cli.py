@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +140,7 @@ def test_simulate_prints_the_library_result(capsys, family):
         ["simulate", "--family", "service_threshold", "--zstar", "1000001"],
         ["eval", "--family", "service_threshold", "--zstar", "2000000", "--method", "chain"],
         ["rvi", "--tol", "1e-8"],
+        ["verify", "--inject-corruption"],  # removed; tests corrupt the iterates themselves
         ["eval", "--family", "age_threshold", "--method", "sim"],  # missing astar
         ["simulate", "--family", "service_threshold"],  # missing zstar
         ["frontier", "--astar-range", "5", "1"],
@@ -192,6 +194,14 @@ def test_oversized_grid_message_names_the_limit(capsys):
         main(["rvi", "--amax", "100000", "--mu", "0.5"])
     assert err.value.code == 2
     assert "a_max 100000 exceeds 3200, the largest side" in capsys.readouterr().err
+
+
+def test_frontier_at_defaults_matches_its_golden_file(tmp_path, capsys):
+    # the file written at the defaults, kept byte for byte
+    out = tmp_path / "frontier.csv"
+    code, _, _ = run(capsys, ["frontier", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / "frontier_defaults.csv").read_bytes()
 
 
 def test_frontier_small_grid(tmp_path, capsys):
@@ -269,10 +279,18 @@ def test_verify_perfect_local_server(capsys):
     assert report["g"] == pytest.approx(1.5, abs=1e-9)
 
 
-def test_verify_detects_injected_corruption(capsys):
+def test_verify_detects_injected_corruption(capsys, monkeypatch):
+    real = cli.discounted_vi
+
+    def corrupted(params, n_iters):
+        # the real iterates, the last one pulled far below its neighbours at (a_max // 2 + 1, 0)
+        *head, last = real(params, n_iters)
+        last[params.a_max // 2, 0] -= 10.0 * (1 + abs(last).max())
+        return iter(head + [last])
+
+    monkeypatch.setattr(cli, "discounted_vi", corrupted)
     code, out, _ = run(capsys, ["verify", "--mu", "0.5", "--lambda", "3",
-                                "--amax", "30", "--horizon", "100000",
-                                "--inject-corruption"])
+                                "--amax", "30", "--horizon", "100000"])
     report = json.loads(out)
     assert code == 1
     assert report["passed"] is False

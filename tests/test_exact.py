@@ -2,8 +2,8 @@
 
 With a rational ``mu`` and price every delivery-cycle sum is a finite sum
 of rationals, so renewal reward on the delivery-age chain gives the average
-cost exactly.  The float solver and evaluator are bounded against it in
-units in the last place (ulps) of the exact value.
+cost exactly.  The float solver, evaluator, closed forms and cycle sums are
+bounded against it in units in the last place (ulps) of the exact value.
 """
 
 import math
@@ -11,9 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from aoi_offload.chain import abort_indices, evaluate_exact, occurring_ages, threshold_table_policy
+from aoi_offload.chain import (abort_indices, cycle_table, evaluate_exact, occurring_ages,
+                               service_threshold_policy, threshold_table_policy)
 from aoi_offload.core import ModelParams
+from aoi_offload.heuristics import service_threshold_eval
 from aoi_offload.mdp import rvi_solve
+
+MUS = [Fraction(1, 2), Fraction(3, 10), Fraction(7, 10), Fraction(1, 10), Fraction(1, 100)]
 
 
 def _solve(a):
@@ -30,11 +34,12 @@ def _solve(a):
     return [row[-1] for row in a]
 
 
-def exact_gain(k, mu: Fraction, lam: Fraction) -> Fraction:
-    """Average cost of the abort indices ``k[d - 1]`` on the occurring
-    delivery ages ``1..r`` (each ``k_d <= r``): the cycle from ``d`` reaches
-    slot ``j`` with probability ``(1 - mu)**j``, delivers age ``j + 1`` there
-    with probability ``mu`` while ``j < k_d``, and offloads at slot ``k_d``."""
+def exact_eval(k, mu: Fraction) -> tuple[Fraction, Fraction]:
+    """Average age ``delta`` and edge-use frequency ``p_bar`` of the abort
+    indices ``k[d - 1]`` on the occurring delivery ages ``1..r`` (each
+    ``k_d <= r``): the cycle from ``d`` reaches slot ``j`` with probability
+    ``(1 - mu)**j``, delivers age ``j + 1`` there with probability ``mu``
+    while ``j < k_d``, and offloads at slot ``k_d``."""
     r = len(k)
     w = [(1 - mu) ** j for j in range(r + 1)]
     move = [[mu * w[e] if e < kd else Fraction(0) for e in range(r)] for kd in k]
@@ -45,9 +50,16 @@ def exact_gain(k, mu: Fraction, lam: Fraction) -> Fraction:
     balance[0] = [Fraction(1)] * (r + 1)
     nu = _solve(balance)
     slots = [sum(w[:kd + 1]) for kd in k]
-    cost = [(d + Fraction(3, 2)) * s + sum(j * w[j] for j in range(kd + 1)) + lam * w[kd]
-            for d, (kd, s) in enumerate(zip(k, slots))]
-    return sum(n * c for n, c in zip(nu, cost)) / sum(n * s for n, s in zip(nu, slots))
+    age = [(d + Fraction(3, 2)) * s + sum(j * w[j] for j in range(kd + 1))
+           for d, (kd, s) in enumerate(zip(k, slots))]
+    cycle = sum(n * s for n, s in zip(nu, slots))
+    return sum(n * a for n, a in zip(nu, age)) / cycle, sum(n * w[kd] for n, kd in zip(nu, k)) / cycle
+
+
+def exact_gain(k, mu: Fraction, lam: Fraction) -> Fraction:
+    """Average cost ``delta + lam * p_bar`` of the abort indices ``k``, as in ``exact_eval``."""
+    delta, p_bar = exact_eval(k, mu)
+    return delta + lam * p_bar
 
 
 def on_path(policy, a_max: int) -> tuple[int, ...]:
@@ -77,3 +89,37 @@ def test_solver_and_evaluator_gains_are_within_ulps_of_exact(mu):
     exact = exact_gain(on_path(report.policy, 50), mu, Fraction(3))
     assert ulps(report.g, exact) <= 1
     assert ulps(evaluate_exact(report.policy, params).g, exact) <= 2
+
+
+@pytest.mark.parametrize("mu", MUS, ids=str)
+def test_cycle_vectors_are_within_ulps_of_exact_sums(mu):
+    # exact at the float's own base, so only the sums' rounding counts;
+    # measured at most 0.59, 3.1 and 4.2 ulp
+    base = Fraction(1.0 - float(mu))
+    slots, lags, w = cycle_table(ModelParams(mu=float(mu), a_max=50))
+    for k in range(50):
+        reach = [base ** j for j in range(k + 1)]
+        assert ulps(w[k], reach[-1]) <= 1
+        assert ulps(slots[k], sum(reach)) <= 4
+        assert ulps(lags[k], sum(j * r for j, r in enumerate(reach))) <= 5
+
+
+@pytest.mark.parametrize("mu", MUS, ids=str)
+def test_evaluator_and_closed_form_are_within_ulps_of_exact(mu):
+    # exact at the float's own mu, so the input's rounding, which p_bar
+    # amplifies to 18 ulp at mu 7/10 and price 30, does not count; measured
+    # at most 2.3 and 2.3 ulp (evaluator), 4.6 and 3.1 ulp (closed form)
+    own = Fraction(float(mu))
+    for lam in (1.0, 3.0, 10.0, 30.0):
+        params = ModelParams(mu=float(mu), lam=lam, a_max=50)
+        for policy in (rvi_solve(params).policy, service_threshold_policy(2),
+                       threshold_table_policy((5, 3, 2))):
+            delta, p_bar = exact_eval(on_path(policy, 50), own)
+            point = evaluate_exact(policy, params)
+            assert ulps(point.delta, delta) <= 3
+            assert ulps(point.p_bar, p_bar) <= 3
+    for z in range(9):
+        delta, p_bar = exact_eval((z,) * max(z, 1), own)
+        closed = service_threshold_eval(float(mu), z)
+        assert ulps(closed.delta, delta) <= 5
+        assert ulps(closed.p_bar, p_bar) <= 4

@@ -1,5 +1,7 @@
 """The delivery-age renewal chain against the (a, z) chain and the oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -208,29 +210,34 @@ def test_batched_delivery_matrix_matches_one_vector_at_a_time():
 
 @pytest.mark.parametrize("mu, a_max", [(0.3, 6), (1.0, 4), (1e-6, 5)])
 def test_cycle_table_matches_direct_sums(mu, a_max):
-    age, slots, w = cycle_table(ModelParams(mu=mu, a_max=a_max))
+    slots, lags, w = cycle_table(ModelParams(mu=mu, a_max=a_max))
+    assert slots.shape == lags.shape == w.shape == (a_max,)
     for k in range(a_max):
         reach = [(1.0 - mu) ** j for j in range(k + 1)]
         assert w[k] == pytest.approx(reach[-1], rel=1e-13)
         assert slots[k] == pytest.approx(sum(reach), rel=1e-13)
         assert slots[k] == pytest.approx(service_moments(mu, k).e_s, rel=1e-12)
+        assert lags[k] == pytest.approx(sum(j * r for j, r in enumerate(reach)), rel=1e-13)
         for d in range(1, a_max - k + 1):  # k <= a_max - d: the cycle fits under the ceiling
             direct = sum((d + j + 0.5) * r for j, r in enumerate(reach))
-            assert age[d - 1, k] == pytest.approx(direct, rel=1e-13)
-    d, k = np.arange(1, a_max + 1)[:, None], np.arange(a_max)[None, :]
-    assert np.array_equal(np.isinf(age), k > a_max - d)
+            assert (d + 0.5) * slots[k] + lags[k] == pytest.approx(direct, rel=1e-13)
+    # a shorter table is the same sums, cut: the oracle reads only what it searches
+    for full, cut in zip(cycle_table(ModelParams(mu=mu, a_max=a_max)),
+                         cycle_table(ModelParams(mu=mu, a_max=a_max), 3)):
+        assert np.array_equal(full[:3], cut)
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.01, 0.1, 0.5, 0.9, 1.0])
 @pytest.mark.parametrize("z", [0, 1, 2, 7, 20])
 def test_cycle_table_gives_service_threshold_closed_form(mu, z):
     # abort after z slots from every occurring age 1..max(z, 1)
-    age, slots, w = cycle_table(ModelParams(mu=mu, a_max=max(2 * z, 2)))
+    slots, lags, w = cycle_table(ModelParams(mu=mu, a_max=max(2 * z, 2)))
     k = np.full(max(z, 1), z)
     nu = delivery_stationary(k, mu)
     cycle = nu @ slots[k]
     closed = service_threshold_eval(mu, z)
-    assert nu @ age[np.arange(k.size), k] / cycle == pytest.approx(closed.delta, rel=1e-12)
+    age = (np.arange(1, k.size + 1) + 0.5) * slots[k] + lags[k]
+    assert nu @ age / cycle == pytest.approx(closed.delta, rel=1e-12)
     assert nu @ w[k] / cycle == pytest.approx(closed.p_bar, rel=1e-12)
 
 
@@ -239,7 +246,7 @@ def test_oracle_gains_match_exact_evaluation(mu, lam):
     params = ModelParams(mu=mu, lam=lam, a_max=20)
     exact = {}
     for group in _abort_vectors(8):
-        for k, g in zip(map(tuple, group.tolist()), _vector_gains(group, params, *cycle_table(params))):
+        for k, g in zip(map(tuple, group.tolist()), _vector_gains(group, params)):
             exact[k] = evaluate_exact(threshold_table_policy(_table_of(k, 8)), params).g
             assert g == pytest.approx(exact[k], rel=1e-12)
     assert len(exact) == 34
@@ -250,6 +257,21 @@ def test_oracle_gains_match_exact_evaluation(mu, lam):
         if exact[tuple(k[: occurring_ages(k)].tolist())] == least:
             break
     assert brute_force_best_threshold(params, search_bound=8).full_thresholds == table
+
+
+def test_oracle_memory_is_bounded_by_its_search_bound():
+    # a bound-8 search reads delivered ages and abort indices below 8 only,
+    # so neither its memory nor its result depends on the ceiling
+    tracemalloc.start()
+    try:
+        brute_force_best_threshold(ModelParams(mu=0.5, lam=3.0, a_max=3200), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    small = brute_force_best_threshold(ModelParams(mu=0.5, lam=3.0, a_max=20), 8)
+    huge = brute_force_best_threshold(ModelParams(mu=0.5, lam=3.0, a_max=100_000), 8)
+    assert (huge.g, huge.full_thresholds) == (small.g, small.full_thresholds)
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
