@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RESET, ModelParams, State, transitions, validate_whole
+from .core import MEMORY_BUDGET, RESET, ModelParams, State, transitions, validate_whole
 from .heuristics import EvalResult, validate_z_star
 
 __all__ = [
@@ -65,11 +65,18 @@ __all__ = [
     "StationaryDistribution",
     "StationarySolveError",
     "stationary",
+    "check_chain_size",
     "evaluate_exact",
 ]
 
 #: Age-threshold entry meaning "no finite age triggers an offload".
 NEVER_OFFLOAD = 2**31
+
+#: The most ``(a, z)`` states ``evaluate_exact`` builds within ``core.MEMORY_BUDGET``,
+#: at 360 B per state: the whole call peaks at 332 and 352 B per state under
+#: tracemalloc (local-only at mu 0.01, a_max 400 and 800).  1,388,888 states
+#: hold local-only up to a_max 1666.
+_MAX_CHAIN_STATES = MEMORY_BUDGET // 360
 
 
 @dataclass(frozen=True)
@@ -331,6 +338,20 @@ def stationary(chain: ChainModel) -> StationaryDistribution:
                                   residual=res, method="direct")
 
 
+def check_chain_size(policy: Policy, params: ModelParams) -> np.ndarray:
+    """Abort indices of ``policy`` on its occurring ages ``1..r``, if the
+    ``(a, z)`` chain ``evaluate_exact`` builds from them, with ``sum (k_d + 1)``
+    states, is within ``_MAX_CHAIN_STATES``; else ``ValueError`` naming the limit."""
+    k = abort_indices(policy, params.a_max)
+    k = k[: occurring_ages(k)]
+    states = int(k.sum()) + k.size
+    if states > _MAX_CHAIN_STATES:
+        raise ValueError(f"the (a, z) chain of {policy.name} at a_max {params.a_max} has "
+                         f"{states} states, above {_MAX_CHAIN_STATES}, the most that "
+                         f"evaluate_exact builds")
+    return k
+
+
 def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
     """Average age, edge-use frequency and cost of ``policy``, solved exactly.
 
@@ -339,10 +360,10 @@ def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
     stationary vector ``nu`` lifts to the full chain of ``build_chain``:
     state ``(d + j, j)`` has mass proportional to ``nu_d (1 - mu)**j``.  The
     lifted vector must pass the same balance check as ``stationary``, which
-    certifies the reduction on every call.
+    certifies the reduction on every call.  ``check_chain_size`` bounds that
+    chain before it is built.
     """
-    k = abort_indices(policy, params.a_max)
-    nu = delivery_stationary(k[: occurring_ages(k)], params.mu)
+    nu = delivery_stationary(check_chain_size(policy, params), params.mu)
     chain = build_chain(policy, params)
     ages, service = np.array(chain.states).reshape(-1, 2).T
     pi = nu[ages - service - 1] * (1.0 - params.mu) ** service

@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid flags,
 3 output could not be written.  Every flag a command takes is checked
-before it computes anything.  Flags override values from an optional
-``--config PATH`` JSON file, which overrides the built-in defaults.
+before it computes anything, except the size of a solved policy's exact
+chain (``chain.check_chain_size``), known only once it is solved.  Flags
+override values from an optional ``--config PATH`` JSON file, which
+overrides the built-in defaults.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import ModelParams, validate_whole
 from . import heuristics
 from .chain import (
     age_threshold_policy,
+    check_chain_size,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
@@ -160,6 +163,7 @@ def _cmd_eval(args, parser) -> int:
             res = simulate(policy, params, config)
             p_bar, delta = res.p_bar_hat, res.delta_hat
         else:
+            _checked(parser, check_chain_size, policy, params)
             res = evaluate_exact(policy, params)
             p_bar, delta = res.p_bar, res.delta
     point = FrontierPoint(family, param, args.mu, p_bar, delta, method)
@@ -208,13 +212,16 @@ def _cmd_frontier(args, parser) -> int:
             parser.error(f"empty {flag}")
     lambdas = _checked(parser, lambda_grid, args.lambda_min, args.lambda_max, args.lambda_count)
     a_max = _resolve_a_max(args)
-    _checked(parser, ModelParams, mu=args.mu, a_max=a_max)
+    params = _checked(parser, ModelParams, mu=args.mu, a_max=a_max)
     _checked(parser, check_grid_side, a_max)
-    # a range passes when its ends do, so the sweep cannot fail part way
+    # a range passes when its ends do, so its sweep cannot fail part way; the
+    # largest age threshold has the largest chain
     for a_star, z_star in ((a_stars[0], z_stars[0]), (a_stars[-1], z_stars[-1])):
         _checked(parser, age_threshold_policy, a_star, a_max)
         _checked(parser, heuristics.validate_z_star, z_star)
-    points = frontier_points(args.mu, a_stars, z_stars, lambdas, a_max)
+    _checked(parser, check_chain_size, age_threshold_policy(a_stars[-1], a_max), params)
+    # an optimal policy's chain is known only once it is solved
+    points = _checked(parser, frontier_points, args.mu, a_stars, z_stars, lambdas, a_max)
     if args.fmt == "csv":
         text = _render_csv(points)
     else:
@@ -298,7 +305,8 @@ def _cmd_verify(args, parser) -> int:
     params = _model_params(args, parser, beta=args.beta)
     config = _sim_config(args, parser)
     iterates = _checked(parser, discounted_vi, params, args.vi_iters)
-    payload = _verify_checks(args, params, config, iterates)
+    # the solved policy's chain is bounded once it is known
+    payload = _checked(parser, _verify_checks, args, params, config, iterates)
     return _emit(json.dumps(payload, indent=2) + "\n", args.out, payload["passed"])
 
 

@@ -30,10 +30,15 @@ __all__ = [
     "validate_rate",
     "validate_price",
     "validate_whole",
+    "MEMORY_BUDGET",
 ]
 
 LOCAL = 0
 OFFLOAD = 1
+
+#: Bytes one call may allocate for its largest structure, checked before it is
+#: built: ``mdp``'s ``(a, z)`` value grids and ``evaluate_exact``'s ``(a, z)`` chain.
+MEMORY_BUDGET = 500_000_000
 
 
 class State(NamedTuple):

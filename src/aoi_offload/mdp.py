@@ -22,11 +22,11 @@ states ``(d, 0)``, then picks the best abort index per age; both read the
 cycle costs of ``chain.cycle_table``.  ``_rebuild_grid`` solves the
 optimality equation for the full value grid from ``g`` and ``h``, in one
 backward row sweep.  ``_backup`` applies that equation to a given grid:
-one backup of the rebuilt grid gives the greedy actions, thresholds and
-span residual exactly as at a value iteration fixed point, and the Bellman
-residual and the discounted iterates are backups too.  The solve reads
-its grid once and keeps only ``g`` and ``h``, from which
-``bellman_residual`` rebuilds it.  The name
+one backup of the rebuilt grid gives the greedy offload set, exactly as at
+a value iteration fixed point, and the thresholds, ``threshold_exact`` and
+span residual are read off it; the Bellman residual and the discounted
+iterates are backups too.  The solve reads its grid once and keeps only
+``g`` and ``h``, from which ``bellman_residual`` rebuilds it.  The name
 ``rvi_solve`` is kept from the relative value iteration this replaced.
 """
 
@@ -69,8 +69,8 @@ _MAX_STEPS = 100_000
 #: about 0.6 s and 120 MB on 2 CPUs.
 _MAX_SEARCH_BOUND = 24
 
-#: The largest side of an ``(a, z)`` grid, checked before one is allocated, for a
-#: budget of about 0.5 GB: at side 3200 a solve peaks at 362 MB RSS and the
+#: The largest side of an ``(a, z)`` grid, checked before one is allocated, within
+#: ``core.MEMORY_BUDGET``: at side 3200 a solve peaks at 362 MB RSS and the
 #: discounted iterates at 341 MB, about 33 B per cell (2 CPUs, one BLAS thread).
 _MAX_GRID_SIDE = 3200
 
@@ -97,7 +97,10 @@ class SolveReport:
     Both threshold views read the policy's table: ``full_thresholds`` whole,
     ``thresholds`` trimmed at the first saturated column (one whose threshold
     already fires at every occurring age).  ``threshold_exact`` records
-    whether the greedy action grid was exactly an age-threshold table.
+    whether each column's greedy offload set, read off the solve's one
+    backup, is upward closed in age: the paper's age-threshold structure.
+    Ties keep the work local; at every price ``lam = 1 - mu`` offloading
+    from ``(1, 0)`` ties exactly with one local slot, so column 0 reads 2.
     ``h[d - 1]`` is the relative value of delivery state ``(d, 0)``, with
     ``h[0] = 0`` (``None`` from the oracle); the solve's value grid is
     ``_rebuild_grid(g, h, params)``.
@@ -136,15 +139,6 @@ def _backup(v: np.ndarray, p: ModelParams, beta: float) -> tuple[np.ndarray, np.
     out = np.repeat((base + p.lam + beta * v[0, 0])[:, None], v.shape[1], axis=1)
     np.minimum(local, out[:-1, :-1], out=out[:-1, :-1])
     return out, local
-
-
-def _thresholds_from_actions(u: np.ndarray) -> tuple[np.ndarray, bool]:
-    a_max = u.shape[0]
-    first = u.argmax(axis=0)  # first offloading row per column; ceiling row is always True
-    thresholds = first + 1
-    rows = np.arange(1, a_max + 1)
-    exact = bool(np.array_equal(u, rows[:, None] >= thresholds[None, :]))
-    return thresholds, exact
 
 
 def _evaluate(k: np.ndarray, cost: np.ndarray, slots: np.ndarray, mu: float):
@@ -215,14 +209,14 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         k = np.where(better, best, k)
     del q, capped  # the grid's backup needs neither
     v = _rebuild_grid(g, h, params)
-    # one backup of the rebuilt grid: the greedy actions offload exactly where
-    # that is strictly cheaper (ties keep the work local)
+    # one backup of the rebuilt grid: the greedy action offloads exactly where
+    # that is strictly cheaper (ties keep the work local); the ceiling row and
+    # the top column offload everywhere
     t, local = _backup(v, params, 1.0)
-    u = np.ones(v.shape, dtype=bool)
-    u[:-1, :-1] = local > t[:-1, :-1]
-    thresholds, exact = _thresholds_from_actions(u)
+    off = local > t[:-1, :-1]
     policy = threshold_table_policy(
-        thresholds, name=f"rvi(mu={params.mu:g}, lam={params.lam:g}, a_max={a_max})"
+        np.append(np.where(off.any(axis=0), off.argmax(axis=0) + 1, a_max), 1),
+        name=f"rvi(mu={params.mu:g}, lam={params.lam:g}, a_max={a_max})"
     )
     return SolveReport(
         policy=policy,
@@ -231,7 +225,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         span_residual=float(np.ptp(t - v)),
         converged=converged,
         h=h,
-        threshold_exact=exact,
+        threshold_exact=not (off[:-1] > off[1:]).any(),  # offload sets upward closed in age
     )
 
 

@@ -9,6 +9,7 @@ from aoi_offload.chain import (
     StationarySolveError,
     age_threshold_policy,
     build_chain,
+    check_chain_size,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
@@ -172,6 +173,32 @@ def test_triplet_flow_matches_sparse_matrix(monkeypatch, policy, params):
     expected = sp.csr_matrix((chain.probs, (chain.rows, chain.cols)), shape=(chain.n, chain.n))
     assert chain.matrix.format == "csr" and chain.matrix is chain.matrix
     assert (chain.matrix != expected).nnz == 0
+
+
+@pytest.mark.parametrize("policy, a_max", [
+    (local_only_policy(), 60), (mec_only_policy(), 30), (age_threshold_policy(7, 30), 30),
+    (service_threshold_policy(3), 50), (threshold_table_policy((5, 3, 2)), 30),
+    (threshold_table_policy((9, 7, 5, 3, 1)), 12),
+], ids=["local_only", "mec_only", "age_7", "service_3", "table_532", "table_97531"])
+def test_chain_size_is_counted_from_the_abort_indices(policy, a_max):
+    # each occurring delivered age d contributes the states (d + j, j), j <= k_d
+    params = ModelParams(mu=0.3, a_max=a_max)
+    k = check_chain_size(policy, params)
+    assert int(k.sum()) + k.size == build_chain(policy, params).n
+
+
+def test_chain_past_the_state_limit_is_refused_before_it_is_built(monkeypatch):
+    # 5,121,599 states would take about 1.8 GB at the whole call's 352 B per state
+    def build_started(*args):
+        raise AssertionError("build_chain called before the state count was checked")
+
+    monkeypatch.setattr(chain_module, "build_chain", build_started)
+    with pytest.raises(ValueError, match="has 5121599 states, above 1388888, the most"):
+        evaluate_exact(service_threshold_policy(10**6), ModelParams(mu=0.5, a_max=3200))
+    # local-only has the largest chain at a ceiling: a_max (a_max + 1) / 2 - 1 states
+    assert check_chain_size(local_only_policy(), ModelParams(mu=0.5, a_max=1666)).size == 1665
+    with pytest.raises(ValueError, match="has 1390277 states"):
+        check_chain_size(local_only_policy(), ModelParams(mu=0.5, a_max=1667))
 
 
 def test_evaluate_age_threshold_two_state():

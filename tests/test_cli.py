@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aoi_offload import cli
+from aoi_offload import chain, cli
 from aoi_offload.chain import (
     age_threshold_policy,
     evaluate_exact,
@@ -156,6 +156,11 @@ def test_simulate_prints_the_library_result(capsys, family):
         ["verify", "--amax", "100000"],
         ["verify", "--amax", "50", "--vi-iters", "100000"],
         ["frontier", "--amax", "100000"],
+        # exact chains past the state limit
+        ["eval", "--family", "service_threshold", "--zstar", "1000000", "--method", "chain",
+         "--amax", "3200"],
+        ["eval", "--family", "age_threshold", "--astar", "3200", "--amax", "3200"],
+        ["frontier", "--astar-range", "1", "3200", "--amax", "3200"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):
@@ -177,6 +182,11 @@ def test_invalid_flags_exit_2(capsys, argv):
         ("rvi_solve", ["simulate", "--family", "optimal", "--amax", "100000"]),
         ("rvi_solve", ["verify", "--amax", "100000"]),
         ("frontier_points", ["frontier", "--amax", "100000"]),
+        ("evaluate_exact", ["eval", "--family", "service_threshold", "--zstar", "1000000",
+                            "--method", "chain", "--amax", "3200"]),
+        ("evaluate_exact", ["eval", "--family", "age_threshold", "--astar", "3200",
+                            "--amax", "3200"]),
+        ("evaluate_exact", ["frontier", "--astar-range", "1", "3200", "--amax", "3200"]),
     ],
 )
 def test_invalid_flags_exit_2_before_any_work(monkeypatch, capsys, work, argv):
@@ -187,6 +197,22 @@ def test_invalid_flags_exit_2_before_any_work(monkeypatch, capsys, work, argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "optimal", "--lambda", "3"],
+    ["frontier", "--mu", "0.5", "--amax", "20", "--astar-range", "1", "2",
+     "--zstar-range", "0", "1", "--lambda-count", "2"],
+    ["verify", "--amax", "20", "--vi-iters", "5", "--horizon", "20000"],
+], ids=["eval", "frontier", "verify"])
+def test_solved_chain_past_the_state_limit_exits_2(monkeypatch, capsys, argv):
+    # with the limit at 2 states age threshold 2 fits, and the policies
+    # solved at mu 0.5, prices 3 and 50, do not
+    monkeypatch.setattr(chain, "_MAX_CHAIN_STATES", 2)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "states, above 2, the most that evaluate_exact builds" in capsys.readouterr().err
 
 
 def test_oversized_grid_message_names_the_limit(capsys):

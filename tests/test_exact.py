@@ -15,7 +15,7 @@ from aoi_offload.chain import (abort_indices, cycle_table, evaluate_exact, occur
                                service_threshold_policy, threshold_table_policy)
 from aoi_offload.core import ModelParams
 from aoi_offload.heuristics import service_threshold_eval
-from aoi_offload.mdp import rvi_solve
+from aoi_offload.mdp import _abort_vectors, rvi_solve
 
 MUS = [Fraction(1, 2), Fraction(3, 10), Fraction(7, 10), Fraction(1, 10), Fraction(1, 100)]
 
@@ -66,6 +66,23 @@ def on_path(policy, a_max: int) -> tuple[int, ...]:
     """The policy's abort indices on the ages it delivers at ceiling ``a_max``."""
     k = abort_indices(policy, a_max)
     return tuple(int(x) for x in k[:occurring_ages(k)])
+
+
+def lower_envelope(points, hi):
+    """Vertices of the lower envelope of the lines ``delta + lam * p_bar``
+    over the prices ``[0, hi]``, ``points`` mapping each key to its
+    ``(p_bar, delta)``, and the prices at which the envelope changes vertex;
+    at a tie the flatter line wins, as it does past the tie."""
+    key = min(points, key=lambda v: points[v][::-1])
+    vertices, breaks = [key], []
+    while True:
+        p, d = points[key]
+        meets = [((dv - d) / (p - pv), pv, v) for v, (pv, dv) in points.items() if pv < p]
+        if not meets or min(meets)[0] > hi:
+            return vertices, breaks
+        price, _, key = min(meets)
+        vertices.append(key)
+        breaks.append(price)
 
 
 def ulps(x: float, exact: Fraction) -> float:
@@ -123,3 +140,25 @@ def test_evaluator_and_closed_form_are_within_ulps_of_exact(mu):
         closed = service_threshold_eval(float(mu), z)
         assert ulps(closed.delta, delta) <= 5
         assert ulps(closed.p_bar, p_bar) <= 4
+
+
+def test_price_breakpoints_at_one_half_are_exact():
+    # every on-path behaviour of a table with entries up to 8 is one of these
+    # abort vectors; the envelope over them is the optimal cost g*(lam)
+    mu = Fraction(1, 2)
+    vectors = [tuple(int(x) for x in row) for group in _abort_vectors(8) for row in group]
+    assert len(vectors) == 34
+    vertices, breaks = lower_envelope({k: exact_eval(k, mu)[::-1] for k in vectors}, 6)
+    assert vertices == [(0,), (1,), (2, 1), (2, 2), (3, 2, 2), (3, 3, 2)]
+    assert [exact_eval(k, mu)[::-1] for k in vertices] == [
+        (1, Fraction(3, 2)), (Fraction(1, 3), Fraction(11, 6)),
+        (Fraction(3, 17), Fraction(75, 34)), (Fraction(1, 7), Fraction(65, 28)),
+        (Fraction(1, 11), Fraction(227, 88)), (Fraction(5, 67), Fraction(1435, 536))]
+    # (2, 2), the on-path form of criterion 5's reference (4, 3), is
+    # optimal exactly on [55/16, 159/32]
+    assert breaks == [Fraction(1, 2), Fraction(19, 8), Fraction(55, 16), Fraction(159, 32), 6]
+    for left, right, price in zip(vertices, vertices[1:], breaks):
+        assert exact_gain(left, mu, price) == exact_gain(right, mu, price)
+    for k, lo, hi in zip(vertices, [0, *breaks], breaks):
+        report = rvi_solve(ModelParams(mu=0.5, lam=float((lo + hi) / 2), a_max=50))
+        assert on_path(report.policy, 50) == k

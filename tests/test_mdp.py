@@ -1,10 +1,13 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from aoi_offload import mdp
 from aoi_offload.chain import (
     age_threshold_policy,
     evaluate_exact,
@@ -209,6 +212,44 @@ def test_certificate_and_bellman_residual_read_one_backup(mu, lam, a_max):
     assert report.threshold_exact == np.array_equal(
         u, np.arange(1, a_max + 1)[:, None] >= thresholds)
     assert bellman_residual(report, params) == np.abs(t - v - report.g).max()
+
+
+def test_offload_set_not_upward_closed_in_age_is_not_threshold_exact(monkeypatch):
+    # no real solve reaches threshold_exact False; a local value of inf at
+    # (1, 0) makes column 0 offload at age 1, keep the work at ages 2 to 4
+    # and offload again from its threshold 5
+    params = ModelParams(mu=0.5, lam=3.0, a_max=50)
+    clean = rvi_solve(params)
+    assert clean.threshold_exact and clean.full_thresholds[0] == 5
+
+    def backup(v, p, beta):
+        t, local = _backup(v, p, beta)
+        local[0, 0] = np.inf
+        return t, local
+
+    monkeypatch.setattr(mdp, "_backup", backup)
+    report = rvi_solve(params)
+    assert report.threshold_exact is False
+    assert report.full_thresholds == (1, *clean.full_thresholds[1:])
+    assert report.span_residual == clean.span_residual
+
+
+GOLDEN_TABLES = json.loads(
+    (Path(__file__).parent / "golden" / "solver_tables.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("point", GOLDEN_TABLES,
+                         ids=lambda p: f"mu{p['mu']}-lam{p['lambda']}-amax{p['a_max']}")
+def test_solver_tables_match_their_golden_file(point):
+    # full tables, unreachable rows included, at points whose table is the
+    # same at price * (1 +- 1e-9): mu {0.05, 0.3, 0.5, 0.9} x price {0.7,
+    # 2.9, 17.3} x a_max {20, 50} less (0.05, 2.9, 50), (0.3, 0.7, 20) and
+    # (0.3, 0.7, 50), plus criterion 5's (0.5, 3, 50)
+    report = rvi_solve(ModelParams(mu=point["mu"], lam=point["lambda"], a_max=point["a_max"]))
+    assert list(report.full_thresholds) == point["full_thresholds"]
+    assert report.iterations == point["iterations"]
+    assert report.threshold_exact is point["threshold_exact"]
+    assert format(report.g, ".12g") == point["g"]
 
 
 def test_gain_matches_exact_evaluation_of_greedy_policy():
