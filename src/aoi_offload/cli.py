@@ -58,6 +58,13 @@ _METHODS = {
 
 FAMILIES = tuple(_METHODS)
 
+#: Closed-form evaluation per family, from the parsed flags.
+_CLOSED_FORMS = {
+    "local_only": lambda a: heuristics.local_only(a.mu, a.lam),
+    "mec_only": lambda a: heuristics.mec_only(a.lam),
+    "service_threshold": lambda a: heuristics.service_threshold_eval(a.mu, a.zstar, a.lam),
+}
+
 #: Keys a ``--config`` file may set: each names the flag ``--key``.
 _CONFIG_KEYS = ("mu", "lambda", "beta", "amax", "seed", "horizon", "warmup", "batches", "out",
                 "format")
@@ -145,27 +152,17 @@ def _cmd_eval(args, parser) -> int:
         parser.error(f"method {method!r} is not available for family {family!r}")
     params = _model_params(args, parser)
     config = _sim_config(args, parser)
+    policy, param = _build_policy(family, args, parser, params)
     if method == "closed_form":
-        if family == "local_only":
-            res, param = heuristics.local_only(args.mu, args.lam), 0.0
-        elif family == "mec_only":
-            res, param = heuristics.mec_only(args.lam), 0.0
-        else:
-            if args.zstar is None:
-                parser.error("service_threshold requires --zstar >= 0")
-            res = _checked(parser, heuristics.service_threshold_eval,
-                           args.mu, args.zstar, args.lam)
-            param = float(args.zstar)
+        res = _checked(parser, _CLOSED_FORMS[family], args)
         p_bar, delta = res.p_bar, res.delta
+    elif method == "sim":
+        res = simulate(policy, params, config)
+        p_bar, delta = res.p_bar_hat, res.delta_hat
     else:
-        policy, param = _build_policy(family, args, parser, params)
-        if method == "sim":
-            res = simulate(policy, params, config)
-            p_bar, delta = res.p_bar_hat, res.delta_hat
-        else:
-            _checked(parser, check_chain_size, policy, params)
-            res = evaluate_exact(policy, params)
-            p_bar, delta = res.p_bar, res.delta
+        _checked(parser, check_chain_size, policy, params)
+        res = evaluate_exact(policy, params)
+        p_bar, delta = res.p_bar, res.delta
     point = FrontierPoint(family, param, args.mu, p_bar, delta, method)
     return _emit(json.dumps(asdict(point)) + "\n", args.out)
 

@@ -24,9 +24,8 @@ optimality equation for the full value grid from ``g`` and ``h``, in one
 backward row sweep.  ``_backup`` applies that equation to a given grid:
 one backup of the rebuilt grid gives the greedy offload set, exactly as at
 a value iteration fixed point, and the thresholds, ``threshold_exact`` and
-span residual are read off it; the Bellman residual and the discounted
-iterates are backups too.  The solve reads its grid once and keeps only
-``g`` and ``h``, from which ``bellman_residual`` rebuilds it.  The name
+both residuals are read off it; the discounted iterates are backups too.
+The solve reads its grid once and keeps only ``g`` and ``h``.  The name
 ``rvi_solve`` is kept from the relative value iteration this replaced.
 """
 
@@ -51,7 +50,6 @@ __all__ = [
     "discounted_vi",
     "verify_structure",
     "brute_force_best_threshold",
-    "bellman_residual",
     "sweep_lambdas",
     "default_a_max",
     "check_grid_side",
@@ -102,8 +100,9 @@ class SolveReport:
     Ties keep the work local; at every price ``lam = 1 - mu`` offloading
     from ``(1, 0)`` ties exactly with one local slot, so column 0 reads 2.
     ``h[d - 1]`` is the relative value of delivery state ``(d, 0)``, with
-    ``h[0] = 0`` (``None`` from the oracle); the solve's value grid is
-    ``_rebuild_grid(g, h, params)``.
+    ``h[0] = 0``.  Both residuals come from the solve's one backup ``t`` of
+    its grid ``v = _rebuild_grid(g, h, params)``: the span of ``t - v`` and
+    the optimality equation's miss ``max |t - v - g|`` (``None``, like ``h``, from the oracle).
     """
 
     policy: Policy
@@ -113,6 +112,7 @@ class SolveReport:
     converged: bool
     h: np.ndarray | None = None
     threshold_exact: bool = True
+    bellman_residual: float | None = None
 
     @property
     def full_thresholds(self) -> tuple[int, ...]:
@@ -183,8 +183,8 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     lowers its value by more than ``1e-10`` relative to its size, and the
     loop stops at the first step that changes nothing (``converged`` is
     false if the 100,000-step guard stops it first).  ``iterations`` counts
-    improvement steps; ``span_residual`` is the span of one optimality
-    backup of the rebuilt grid minus the grid, zero at an exact solution.
+    improvement steps; both residuals read one optimality backup of the
+    rebuilt grid minus the grid, zero at an exact solution.
     """
     a_max = check_grid_side(params.a_max)
     k = abort_indices(start or local_only_policy(), a_max)
@@ -214,6 +214,8 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     # the top column offload everywhere
     t, local = _backup(v, params, 1.0)
     off = local > t[:-1, :-1]
+    miss = t - v  # the optimality equation's miss, off by g
+    hi, lo = miss.max(), miss.min()
     policy = threshold_table_policy(
         np.append(np.where(off.any(axis=0), off.argmax(axis=0) + 1, a_max), 1),
         name=f"rvi(mu={params.mu:g}, lam={params.lam:g}, a_max={a_max})"
@@ -222,10 +224,11 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         policy=policy,
         g=g,
         iterations=iterations,
-        span_residual=float(np.ptp(t - v)),
+        span_residual=float(hi - lo),
         converged=converged,
         h=h,
         threshold_exact=not (off[:-1] > off[1:]).any(),  # offload sets upward closed in age
+        bellman_residual=float(max(hi - g, g - lo)),
     )
 
 
@@ -326,19 +329,6 @@ def verify_structure(value_iterates: Iterable[np.ndarray], policy: Policy) -> St
         "thresholds_nonincreasing", z is None, None if z is None else State(int(thresholds[z]), z),
         "" if z is None else f"threshold rises between columns {z - 1} and {z}"))
     return StructureReport(checks)
-
-
-def bellman_residual(report: SolveReport, params: ModelParams) -> float:
-    """Max violation of the average-cost optimality equation on the value
-    grid rebuilt from ``report``'s ``g`` and ``h``, which must come from a
-    solve at ``params.a_max``."""
-    if report.h is None:
-        raise ValueError(f"report of {report.policy.name} has no delivery values h")
-    if len(report.h) != params.a_max:
-        raise ValueError(f"report has {len(report.h)} delivery values, a_max is {params.a_max}")
-    v = _rebuild_grid(report.g, report.h, params)
-    t = _backup(v, params, 1.0)[0]
-    return float(np.abs(t - v - report.g).max())
 
 
 def sweep_lambdas(mu: float, lambdas, a_max: int) -> list[tuple[float, SolveReport]]:

@@ -15,9 +15,12 @@ from aoi_offload.chain import (abort_indices, cycle_table, evaluate_exact, occur
                                service_threshold_policy, threshold_table_policy)
 from aoi_offload.core import ModelParams
 from aoi_offload.heuristics import service_threshold_eval
-from aoi_offload.mdp import _abort_vectors, rvi_solve
+from aoi_offload.mdp import _abort_vectors, _vector_gains, rvi_solve
 
 MUS = [Fraction(1, 2), Fraction(3, 10), Fraction(7, 10), Fraction(1, 10), Fraction(1, 100)]
+
+#: Every on-path behaviour of a table with entries up to 8, as abort vectors.
+VECTORS = [tuple(int(x) for x in row) for group in _abort_vectors(8) for row in group]
 
 
 def _solve(a):
@@ -142,13 +145,31 @@ def test_evaluator_and_closed_form_are_within_ulps_of_exact(mu):
         assert ulps(closed.p_bar, p_bar) <= 4
 
 
+@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(3, 10), Fraction(7, 10)], ids=str)
+def test_oracle_gains_are_within_ulps_of_exact(mu):
+    # exact at the float's own mu; measured at most 3.43 ulp over the 34 vectors
+    own = Fraction(float(mu))
+    params = ModelParams(mu=float(mu), lam=3.0, a_max=8)
+    for k in _abort_vectors(8):
+        for row, g in zip(k, _vector_gains(k, params)):
+            assert ulps(g, exact_gain(tuple(int(x) for x in row), own, Fraction(3))) <= 4
+
+
+def assert_envelope_is_exact(mu: Fraction, vertices, breaks) -> None:
+    """Neighbouring vertices tie exactly at each break, and the solver returns
+    each interval's vertex on path at its midpoint."""
+    for left, right, price in zip(vertices, vertices[1:], breaks):
+        assert exact_gain(left, mu, price) == exact_gain(right, mu, price)
+    for k, lo, hi in zip(vertices, [0, *breaks], breaks):
+        report = rvi_solve(ModelParams(mu=float(mu), lam=float((lo + hi) / 2), a_max=50))
+        assert on_path(report.policy, 50) == k
+
+
 def test_price_breakpoints_at_one_half_are_exact():
-    # every on-path behaviour of a table with entries up to 8 is one of these
-    # abort vectors; the envelope over them is the optimal cost g*(lam)
+    # the envelope over the abort vectors is the optimal cost g*(lam)
     mu = Fraction(1, 2)
-    vectors = [tuple(int(x) for x in row) for group in _abort_vectors(8) for row in group]
-    assert len(vectors) == 34
-    vertices, breaks = lower_envelope({k: exact_eval(k, mu)[::-1] for k in vectors}, 6)
+    assert len(VECTORS) == 34
+    vertices, breaks = lower_envelope({k: exact_eval(k, mu)[::-1] for k in VECTORS}, 6)
     assert vertices == [(0,), (1,), (2, 1), (2, 2), (3, 2, 2), (3, 3, 2)]
     assert [exact_eval(k, mu)[::-1] for k in vertices] == [
         (1, Fraction(3, 2)), (Fraction(1, 3), Fraction(11, 6)),
@@ -157,8 +178,18 @@ def test_price_breakpoints_at_one_half_are_exact():
     # (2, 2), the on-path form of criterion 5's reference (4, 3), is
     # optimal exactly on [55/16, 159/32]
     assert breaks == [Fraction(1, 2), Fraction(19, 8), Fraction(55, 16), Fraction(159, 32), 6]
-    for left, right, price in zip(vertices, vertices[1:], breaks):
-        assert exact_gain(left, mu, price) == exact_gain(right, mu, price)
-    for k, lo, hi in zip(vertices, [0, *breaks], breaks):
-        report = rvi_solve(ModelParams(mu=0.5, lam=float((lo + hi) / 2), a_max=50))
-        assert on_path(report.policy, 50) == k
+    assert_envelope_is_exact(mu, vertices, breaks)
+
+
+@pytest.mark.parametrize("mu, vertices, breaks", [
+    (Fraction(3, 10), [(0,), (1,), (2, 1), (2, 2), (3, 2, 1)],
+     [Fraction(7, 10), Fraction(2757, 1000), Fraction(45399, 10000), Fraction(4703421, 790000)]),
+    (Fraction(7, 10), [(0,), (1,), (2, 1), (2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3), (4, 3, 3, 3)],
+     [Fraction(3, 10), Fraction(1873, 1000), Fraction(23719, 10000), Fraction(372437, 100000),
+      Fraction(104351, 25000), Fraction(4625411, 1000000), Fraction(56058333, 10000000)]),
+], ids=["3/10", "7/10"])
+def test_price_breakpoints_at_other_rates_are_exact(mu, vertices, breaks):
+    # the first break is 1 - mu, where offloading from (1, 0) ties with one local slot
+    assert lower_envelope({k: exact_eval(k, mu)[::-1] for k in VECTORS}, 6) == (vertices, breaks)
+    assert breaks[0] == 1 - mu
+    assert_envelope_is_exact(mu, vertices, breaks)

@@ -21,7 +21,6 @@ from aoi_offload.core import ModelParams, State
 from aoi_offload.mdp import (
     _backup,
     _rebuild_grid,
-    bellman_residual,
     brute_force_best_threshold,
     default_a_max,
     discounted_vi,
@@ -104,6 +103,20 @@ def test_corrupted_values_are_caught_with_witness():
     assert witness is not None
 
 
+def test_each_value_check_keeps_its_first_failure():
+    # iterate 7's dent at (6, 2) breaks all three checks again, but the age
+    # and relative-value checks already failed at iterate 3's dent at (11, 0)
+    iterates = list(discounted_vi(ModelParams(mu=0.5, lam=3.0, beta=0.99, a_max=20), 10))
+    iterates[3][10, 0] -= 100.0
+    iterates[7][5, 2] -= 100.0
+    sr = verify_structure(iterates, local_only_policy())
+    assert {c.name: (c.witness, c.detail.partition(":")[0]) for c in sr.failures()} == {
+        "value_nondecreasing_in_age": (State(11, 0), "iterate 3"),
+        "value_nondecreasing_in_service": (State(6, 2), "iterate 7"),
+        "relative_value_nonnegative": (State(11, 0), "iterate 3"),
+    }
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_fail_the_value_checks(bad):
     iterates = list(discounted_vi(ModelParams(mu=0.5, lam=3.0, a_max=10), 5))
@@ -163,17 +176,7 @@ def test_rvi_satisfies_optimality_equation():
         params = ModelParams(mu=mu, lam=lam, a_max=40)
         report = rvi_solve(params)
         assert report.converged
-        assert bellman_residual(report, params) <= 1e-8
-
-
-def test_bellman_residual_needs_the_solves_delivery_values():
-    params = ModelParams(mu=0.5, lam=3.0, a_max=20)
-    oracle = brute_force_best_threshold(params, search_bound=8)
-    with pytest.raises(ValueError, match="no delivery values"):
-        bellman_residual(oracle, params)
-    report = rvi_solve(ModelParams(mu=0.5, lam=3.0, a_max=30))
-    with pytest.raises(ValueError, match="30 delivery values, a_max is 20"):
-        bellman_residual(report, params)
+        assert report.bellman_residual <= 1e-8
 
 
 def test_grids_over_the_side_limit_are_refused_before_allocation():
@@ -211,7 +214,7 @@ def test_certificate_and_bellman_residual_read_one_backup(mu, lam, a_max):
     assert report.full_thresholds == tuple(thresholds)
     assert report.threshold_exact == np.array_equal(
         u, np.arange(1, a_max + 1)[:, None] >= thresholds)
-    assert bellman_residual(report, params) == np.abs(t - v - report.g).max()
+    assert report.bellman_residual == np.abs(t - v - report.g).max()
 
 
 def test_offload_set_not_upward_closed_in_age_is_not_threshold_exact(monkeypatch):
@@ -264,6 +267,7 @@ def test_oracle_equivalence_small_instance():
     rv = rvi_solve(params)
     bf = brute_force_best_threshold(params, search_bound=8)
     assert abs(rv.g - bf.g) <= 1e-6
+    assert bf.h is None and bf.bellman_residual is None  # the oracle solves no grid
     # the two winners act identically on every occurring state
     a = evaluate_exact(rv.policy, params)
     b = evaluate_exact(bf.policy, params)

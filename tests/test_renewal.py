@@ -31,7 +31,6 @@ from aoi_offload.mdp import (
     _rebuild_grid,
     _table_of,
     _vector_gains,
-    bellman_residual,
     brute_force_best_threshold,
     discounted_vi,
     rvi_solve,
@@ -127,7 +126,7 @@ def test_rebuilt_grid_solves_the_optimality_equation(mu, lam, a_max):
     params = ModelParams(mu=mu, lam=lam, a_max=a_max)
     report = rvi_solve(params)
     assert report.converged
-    assert bellman_residual(report, params) <= 1e-9
+    assert report.bellman_residual <= 1e-9
     assert report.span_residual <= 1e-9
     assert _rebuild_grid(report.g, report.h, params)[0, 0] == 0.0
     assert abs(evaluate_exact(report.policy, params).g - report.g) <= 1e-9
