@@ -16,11 +16,13 @@ quantifies.
 
 The solver is semi-Markov policy iteration (Puterman 1994, ch. 11) on the
 delivery-age chain of ``chain``: a policy is one abort index per delivered
-age, and each step evaluates it once, by one dense solve of size ``a_max``
-for the average cost ``g`` and the relative values ``h(d)`` of the delivery
-states ``(d, 0)``, then picks the best abort index per age; both read the
-cycle costs of ``chain.cycle_table``.  ``_rebuild_grid`` solves the
-optimality equation for the full value grid from ``g`` and ``h``, in one
+age, and each step evaluates it once, for the average cost ``g`` and the
+relative values ``h(d)`` of the delivery states ``(d, 0)``, then picks the
+best abort index per age; both read the cycle costs of
+``chain.cycle_table``.  The evaluation solves densely only on the ages
+``1..R`` that the deliveries land on, ``R`` the largest abort index, and
+fills in each older age by one back-substitution.  ``_rebuild_grid`` solves
+the optimality equation for the full value grid from ``g`` and ``h``, in one
 backward row sweep.  ``_backup`` applies that equation to a given grid:
 one backup of the rebuilt grid gives the greedy offload set, exactly as at
 a value iteration fixed point, and the thresholds, ``threshold_exact`` and
@@ -141,18 +143,31 @@ def _backup(v: np.ndarray, p: ModelParams, beta: float) -> tuple[np.ndarray, np.
     return out, local
 
 
-def _evaluate(k: np.ndarray, cost: np.ndarray, slots: np.ndarray, mu: float):
+def _evaluate(k: np.ndarray, cost: np.ndarray, slots: np.ndarray, w: np.ndarray, mu: float):
     """Average cost ``g`` and relative values ``h`` (``h[d - 1]``, with
     ``h[0] = 0``) of the abort indices ``k`` on the delivery-age chain, whose
-    cycle from age ``d`` costs ``cost[d - 1]`` and lasts ``slots[d - 1]``."""
-    # h_d + g * slots_d - sum_e P[d, e] h_e = cost_d; with h_1 = 0 pinned,
-    # the first column carries g instead
-    m = np.eye(k.size) - delivery_matrix(k, mu)
-    m[:, 0] = slots
-    x = np.linalg.solve(m, cost)
-    g = float(x[0])
-    x[0] = 0.0
-    return g, x
+    cycle from age ``d`` costs ``cost[d - 1]`` and lasts ``slots[d - 1]``;
+    ``w`` is ``cycle_table``'s reach probability per slot.
+
+    A delivery from age ``d`` lands on an age ``1..k_d``, so the ages
+    ``1..R``, ``R = max(1, max k)``, are closed under the chain (``R`` is also
+    ``max(r, max k[r:])`` for ``r = occurring_ages(k)``, as ``k[:r] <= r``).
+    One dense solve of size ``R`` gives ``g`` and ``h`` there; each older age
+    delivers into them, so its value follows by one back-substitution.
+    """
+    # h_d + g * slots_d - sum_e P[d, e] h_e = cost_d, where sum_e P[d, e] h_e
+    # = C[k_d] = sum_{j < k_d} mu w_j h_{j+1} (delivery at age 1 adds h_1 = 0);
+    # on 1..R, with h_1 = 0 pinned, the first column carries g instead
+    size = max(1, int(k.max()))
+    m = np.eye(size) - delivery_matrix(k[:size], mu)
+    m[:, 0] = slots[:size]
+    h = np.empty(k.size)
+    h[:size] = np.linalg.solve(m, cost[:size])
+    g = float(h[0])
+    h[0] = 0.0
+    c = np.concatenate(([0.0], np.cumsum(mu * w[:size] * h[:size])))
+    h[size:] = cost[size:] - g * slots[size:] + c[k[size:]]
+    return g, h
 
 
 def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -165,9 +180,11 @@ def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
     v = np.empty((a_max, a_max))
     v[:, -1] = offload
     v[-1, :] = offload[-1]
+    np.add(base[:-1, None], comp, out=v[:-1, :-1])  # each row's constant, base + mu h
     for i in range(a_max - 2, -1, -1):
-        local = base[i] + comp + (1.0 - params.mu) * v[i + 1, 1:]
-        np.minimum(local, offload[i], out=v[i, :-1])
+        row = v[i, :-1]
+        row += (1.0 - params.mu) * v[i + 1, 1:]
+        np.minimum(row, offload[i], out=row)
     v -= v[0, 0]
     return v
 
@@ -194,7 +211,8 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     capped = rows > a_max - 1 - rows[:, None]  # k > a_max - d: past the ceiling
     converged = False
     for iterations in range(1, _MAX_STEPS + 1):
-        g, h = _evaluate(k, base * slots[k] + lags[k] + params.lam * w[k], slots[k], params.mu)
+        g, h = _evaluate(k, base * slots[k] + lags[k] + params.lam * w[k], slots[k], w,
+                         params.mu)
         # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k
         # slots and every later cycle follows the evaluated policy
         q = (np.multiply.outer(base, slots) + lags + params.lam * w - g * slots

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 from aoi_offload import mdp
 from aoi_offload.chain import (
+    abort_indices,
     age_threshold_policy,
+    cycle_table,
+    delivery_matrix,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
+    occurring_ages,
     service_threshold_policy,
     threshold_table_policy,
 )
@@ -20,6 +24,7 @@ from aoi_offload.cli import lambda_grid
 from aoi_offload.core import ModelParams, State
 from aoi_offload.mdp import (
     _backup,
+    _evaluate,
     _rebuild_grid,
     brute_force_best_threshold,
     default_a_max,
@@ -235,6 +240,109 @@ def test_offload_set_not_upward_closed_in_age_is_not_threshold_exact(monkeypatch
     assert report.threshold_exact is False
     assert report.full_thresholds == (1, *clean.full_thresholds[1:])
     assert report.span_residual == clean.span_residual
+
+
+def _rebuild_by_rows(g, h, params):
+    # the row sweep written plainly: each row's local side in one expression
+    a_max, mu = params.a_max, params.mu
+    base = np.arange(1, a_max + 1) + 0.5 - g
+    offload = base + params.lam
+    v = np.empty((a_max, a_max))
+    v[:, -1] = offload
+    v[-1, :] = offload[-1]
+    for i in range(a_max - 2, -1, -1):
+        local = base[i] + mu * h[: a_max - 1] + (1.0 - mu) * v[i + 1, 1:]
+        v[i, :-1] = np.minimum(local, offload[i])
+    return v - v[0, 0]
+
+
+def test_rebuilt_grid_is_bitwise_the_plain_row_sweep():
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        params = ModelParams(mu=rng.uniform(0.005, 1.0), lam=float(np.exp(rng.uniform(-3, 5))),
+                             a_max=int(rng.integers(2, 150)))
+        h = np.append(0.0, rng.uniform(0.0, 50.0, params.a_max - 1))
+        g = rng.uniform(0.0, 20.0)
+        assert _rebuild_grid(g, h, params).tobytes() == _rebuild_by_rows(g, h, params).tobytes()
+    params = ModelParams(mu=0.01, lam=3.0, a_max=120)
+    report = rvi_solve(params)
+    assert (_rebuild_grid(report.g, report.h, params).tobytes()
+            == _rebuild_by_rows(report.g, report.h, params).tobytes())
+
+
+def _cycles(k, params):
+    slots, lags, w = cycle_table(params)
+    return (np.arange(1, k.size + 1) + 0.5) * slots[k] + lags[k] + params.lam * w[k], slots[k], w
+
+
+def _dense_evaluation(k, params):
+    # the evaluation system on every age 1..a_max: one dense solve
+    cost, slots, _ = _cycles(k, params)
+    m = np.eye(k.size) - delivery_matrix(k, params.mu)
+    m[:, 0] = slots
+    x = np.linalg.solve(m, cost)
+    return float(x[0]), np.append(0.0, x[1:])
+
+
+def _closed_set_evaluation(k, params):
+    return _evaluate(k, *_cycles(k, params), params.mu)
+
+
+@pytest.mark.parametrize("k, r, size", [
+    ([1, 1, 4, 0, 0, 0, 0, 0], 1, 4),  # age 3 never occurs but delivers up to age 4
+    (abort_indices(local_only_policy(), 6), 5, 5),
+    (abort_indices(mec_only_policy(), 6), 1, 1),
+])
+def test_evaluation_solves_only_the_closed_ages(monkeypatch, k, r, size):
+    k = np.asarray(k)
+    params = ModelParams(mu=0.3, lam=2.0, a_max=k.size)
+    assert occurring_ages(k) == r
+    assert size == max(r, k[r:].max(initial=r))  # 1..size closed, older ages deliver into it
+    sides = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        sides.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    g, h = _closed_set_evaluation(k, params)
+    assert sides == [(size, size)]
+    g0, h0 = _dense_evaluation(k, params)
+    assert abs(g - g0) <= 1e-11 * (1 + abs(g0))
+    assert np.all(np.abs(h - h0) <= 1e-11 * (1 + np.abs(h0)))
+
+
+def test_closed_set_evaluation_matches_the_dense_solve():
+    # arbitrary abort indices under the ceiling's cap, often non-monotone,
+    # about half of them capped further so that the closed set is small
+    rng = np.random.default_rng(2025)
+    older = 0
+    for _ in range(3000):
+        a_max = int(rng.integers(2, 120))
+        params = ModelParams(mu=rng.uniform(0.005, 1.0), lam=rng.uniform(0.0, 10.0), a_max=a_max)
+        k = rng.integers(0, a_max - np.arange(a_max))
+        if rng.random() < 0.5:
+            k = np.minimum(k, rng.integers(0, a_max))
+        older += max(1, k.max()) > occurring_ages(k)
+        g, h = _closed_set_evaluation(k, params)
+        g0, h0 = _dense_evaluation(k, params)
+        assert h[0] == 0.0
+        assert abs(g - g0) <= 1e-11 * (1 + abs(g0))
+        assert np.all(np.abs(h - h0) <= 1e-11 * (1 + np.abs(h0)))
+    assert older > 0  # some cases solve on ages that never occur
+
+
+@pytest.mark.parametrize("mu", [1e-12, 1e-4, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 1e6])
+@pytest.mark.parametrize("a_max", [2, 400])
+def test_edge_inputs_solve_to_their_dense_evaluation(mu, lam, a_max):
+    params = ModelParams(mu=mu, lam=lam, a_max=a_max)
+    report = rvi_solve(params)
+    assert report.converged and report.threshold_exact
+    g0, _ = _dense_evaluation(abort_indices(report.policy, a_max), params)
+    assert abs(report.g - g0) <= 1e-12 * abs(g0)
+    assert report.bellman_residual <= 1e-8
 
 
 GOLDEN_TABLES = json.loads(
