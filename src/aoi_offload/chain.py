@@ -11,11 +11,12 @@ forces the offload; the simulator has no ceiling and reads it uncapped.
 
 The abort indices define a Markov chain on ``d`` with ``a_max`` states: from
 ``d`` it moves to ``j + 1`` with probability ``mu (1 - mu)**j`` for
-``j < k_d``, and to 1 with probability ``(1 - mu)**k_d``.  One dense
-stationary solve of that chain (``delivery_stationary``, shared with the
-solver's oracle), lifted to the states of the full chain, gives the
-long-run average age ``delta = E[a] + 1/2`` and the edge-use frequency
-``p_bar`` exactly: the reference evaluator for every policy family.
+``j < k_d``, and to 1 with probability ``(1 - mu)**k_d``.  One system,
+``delivery_system``, has two solves: ``delivery_values`` gives the average
+cost and relative values of abort vectors, for the solver and its oracle;
+its transpose gives the stationary vector, which ``evaluate_exact`` lifts to
+the full chain for the average age ``delta = E[a] + 1/2`` and edge-use
+frequency ``p_bar``, exactly: the reference evaluator for every policy family.
 
 A policy is a threshold table: per service column ``z`` it stores the least
 age at which it offloads.  That one representation covers never-offload
@@ -57,8 +58,8 @@ __all__ = [
     "abort_rule",
     "abort_indices",
     "occurring_ages",
-    "delivery_matrix",
-    "delivery_stationary",
+    "delivery_system",
+    "delivery_values",
     "cycle_table",
     "ChainModel",
     "build_chain",
@@ -183,30 +184,48 @@ def occurring_ages(k: np.ndarray) -> int:
     return int(np.argmax(np.maximum.accumulate(k) <= np.arange(1, k.size + 1))) + 1
 
 
-def delivery_matrix(k: np.ndarray, mu: float) -> np.ndarray:
-    """Transition matrix ``[..., d - 1, d' - 1]`` of the delivery-age chain on
-    the ages ``1..r``, whose abort indices ``k[..., :r]`` are at most ``r``.
-    Leading axes of ``k`` are batch axes.
+def delivery_system(k: np.ndarray, lengths: np.ndarray, w: np.ndarray, mu: float) -> np.ndarray:
+    """``I - P`` of the delivery-age chain on the ages ``1..r``, batched over
+    the leading axes of ``k`` (each ``k_d <= r``), with its first column, the
+    moves to age 1, replaced by the cycle lengths ``lengths``: from ``d`` it
+    moves to ``j + 1`` with probability ``mu w[j]`` for ``j < k_d``, ``w`` the
+    reach probabilities of ``cycle_table``.  ``delivery_values`` solves it; its
+    negated transpose, first row set to ones, is the normalised balance system."""
+    r = k.shape[-1]
+    system = np.eye(r) - np.where(np.arange(r) < k[..., None], mu * w[:r], 0.0)
+    system[..., 0] = lengths
+    return system
 
-    Slot ``j`` of a cycle is reached with probability ``(1 - mu)**j``; it
-    delivers age ``j + 1`` with probability ``mu`` if ``j < k_d`` and is the
-    offload slot, delivering age 1, if ``j == k_d``.
+
+def delivery_values(k: np.ndarray, params: ModelParams, cycles) -> tuple[np.ndarray, np.ndarray]:
+    """Average cost ``g[...]`` and relative values ``h[..., d - 1]``
+    (``h[..., 0] = 0``) of the abort indices ``k``, batched over its leading
+    axes, with ``cycles = cycle_table(params, n)``, ``n > max k``: the cycle
+    from age ``d`` lasts ``slots[k_d]`` and costs ``(d + 1/2) slots[k_d] +
+    lags[k_d] + lam w[k_d]``.
+
+    Deliveries from age ``d`` land on ages ``1..k_d``, so the ages ``1..R``,
+    ``R = max(1, max k)``, are closed: one dense solve of ``delivery_system``
+    there, ``h_1 = 0`` pinned and ``g`` in the first column, then each older
+    age by one back-substitution, ``h_d = cost_d - g slots[k_d] + sum_{j <
+    k_d} mu w_j h_{j+1}``.
     """
-    r = k.shape[-1]
-    w = (1.0 - mu) ** np.arange(r + 1)
-    trans = np.where(np.arange(r) < k[..., None], mu * w[:-1], 0.0)
-    trans[..., 0] += w[k]
-    return trans
-
-
-def delivery_stationary(k: np.ndarray, mu: float) -> np.ndarray:
-    """Stationary vector ``nu[..., d - 1]`` of ``delivery_matrix(k, mu)``,
-    batched over the leading axes of ``k``: one dense solve of the balance
-    equations, the first of them replaced by the normalisation."""
-    r = k.shape[-1]
-    balance = np.swapaxes(delivery_matrix(k, mu), -1, -2) - np.eye(r)
-    balance[..., 0, :] = 1.0
-    return np.linalg.solve(balance, np.eye(r)[0])
+    slots, lags, w = cycles
+    lengths = slots[k]
+    cost = (np.arange(1, k.shape[-1] + 1) + 0.5) * lengths + lags[k] + params.lam * w[k]
+    size = max(1, int(k.max()))
+    h = np.empty(k.shape)
+    h[..., :size] = np.linalg.solve(
+        delivery_system(k[..., :size], lengths[..., :size], w, params.mu),
+        cost[..., :size, None])[..., 0]
+    g = h[..., 0].copy()
+    h[..., 0] = 0.0
+    if size < k.shape[-1]:  # the oracle's vectors have no older ages
+        c = np.cumsum(params.mu * w[:size] * h[..., :size], axis=-1)
+        c = np.concatenate((np.zeros(c.shape[:-1] + (1,)), c), axis=-1)
+        h[..., size:] = (cost[..., size:] - g[..., None] * lengths[..., size:]
+                         + np.take_along_axis(c, k[..., size:], axis=-1))
+    return g, h
 
 
 def cycle_table(params: ModelParams, n: int | None = None) -> tuple[np.ndarray, ...]:
@@ -214,9 +233,7 @@ def cycle_table(params: ModelParams, n: int | None = None) -> tuple[np.ndarray, 
     (default ``a_max``): slot ``j`` is reached with probability ``w[j] =
     (1 - mu)**j``, so the cycle offloads with probability ``w[k]``, lasts
     ``slots[k] = sum_{j <= k} w[j]`` and, from delivered age ``d``, accrues
-    the age ``(d + 1/2) slots[k] + lags[k]``, ``lags[k] = sum_{j <= k} j w[j]``.
-    By renewal reward, abort indices ``k_d <= a_max - d`` cost ``sum nu_d (age
-    + lam w) / sum nu_d slots`` at ``k_d``, ``nu`` the stationary vector of their chain."""
+    the age ``(d + 1/2) slots[k] + lags[k]``, ``lags[k] = sum_{j <= k} j w[j]``."""
     j = np.arange(params.a_max if n is None else n)
     w = (1.0 - params.mu) ** j
     return np.cumsum(w), np.cumsum(j * w), w
@@ -363,7 +380,12 @@ def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
     certifies the reduction on every call.  ``check_chain_size`` bounds that
     chain before it is built.
     """
-    nu = delivery_stationary(check_chain_size(policy, params), params.mu)
+    k = check_chain_size(policy, params)
+    slots, _, w = cycle_table(params, k.size + 1)
+    # P^T - I: the balance equations, the first replaced by the normalisation
+    balance = -delivery_system(k, slots[k], w, params.mu).T
+    balance[0] = 1.0
+    nu = np.linalg.solve(balance, np.eye(k.size)[0])
     chain = build_chain(policy, params)
     ages, service = np.array(chain.states).reshape(-1, 2).T
     pi = nu[ages - service - 1] * (1.0 - params.mu) ** service

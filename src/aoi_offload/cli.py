@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import ModelParams, validate_whole
+from .core import MEMORY_BUDGET, ModelParams, validate_whole
 from . import heuristics
 from .chain import (
     age_threshold_policy,
@@ -87,10 +87,15 @@ def _f12(x: float) -> str:
 
 
 def lambda_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """``count`` log-spaced prices in (lo, hi]: the left endpoint is excluded."""
+    """``count`` log-spaced prices in (lo, hi]: the left endpoint is excluded.
+    ``frontier`` keeps a solved policy per price, 51.5 kB at a_max 3200 under
+    tracemalloc, so ``count`` is bounded at 56 kB a price in ``core.MEMORY_BUDGET``."""
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"need 0 < lambda-min < lambda-max < inf, got {lo} and {hi}")
     count = validate_whole(count, 1, "lambda-count must be an integer")
+    if count > MEMORY_BUDGET // 56_000:
+        raise ValueError(f"lambda-count {count} exceeds {MEMORY_BUDGET // 56_000}, "
+                         f"the most prices whose solved policies frontier keeps")
     return np.geomspace(lo, hi, count + 1)[1:]
 
 

@@ -37,7 +37,8 @@ LOCAL = 0
 OFFLOAD = 1
 
 #: Bytes one call may allocate for its largest structure, checked before it is
-#: built: ``mdp``'s ``(a, z)`` value grids and ``evaluate_exact``'s ``(a, z)`` chain.
+#: built: ``mdp``'s ``(a, z)`` value grids, ``evaluate_exact``'s ``(a, z)`` chain,
+#: ``frontier``'s solved policies per price and ``simulate``'s batch totals.
 MEMORY_BUDGET = 500_000_000
 
 

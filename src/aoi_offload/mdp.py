@@ -19,9 +19,9 @@ delivery-age chain of ``chain``: a policy is one abort index per delivered
 age, and each step evaluates it once, for the average cost ``g`` and the
 relative values ``h(d)`` of the delivery states ``(d, 0)``, then picks the
 best abort index per age; both read the cycle costs of
-``chain.cycle_table``.  The evaluation solves densely only on the ages
-``1..R`` that the deliveries land on, ``R`` the largest abort index, and
-fills in each older age by one back-substitution.  ``_rebuild_grid`` solves
+``chain.cycle_table``.  The evaluation is ``chain.delivery_values``, the
+one linear solve that the exhaustive oracle also batches; the oracle is
+independent of the solver through its search.  ``_rebuild_grid`` solves
 the optimality equation for the full value grid from ``g`` and ``h``, in one
 backward row sweep.  ``_backup`` applies that equation to a given grid:
 one backup of the rebuilt grid gives the greedy offload set, exactly as at
@@ -40,8 +40,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import ModelParams, State, validate_whole
-from .chain import (Policy, abort_indices, cycle_table, delivery_matrix, delivery_stationary,
-                    local_only_policy, threshold_table_policy)
+from .chain import (Policy, abort_indices, cycle_table, delivery_values, local_only_policy,
+                    threshold_table_policy)
 from .chain import evaluate_exact  # noqa: F401  -- perfbench/tracing.py patches it at this name
 
 __all__ = [
@@ -143,33 +143,6 @@ def _backup(v: np.ndarray, p: ModelParams, beta: float) -> tuple[np.ndarray, np.
     return out, local
 
 
-def _evaluate(k: np.ndarray, cost: np.ndarray, slots: np.ndarray, w: np.ndarray, mu: float):
-    """Average cost ``g`` and relative values ``h`` (``h[d - 1]``, with
-    ``h[0] = 0``) of the abort indices ``k`` on the delivery-age chain, whose
-    cycle from age ``d`` costs ``cost[d - 1]`` and lasts ``slots[d - 1]``;
-    ``w`` is ``cycle_table``'s reach probability per slot.
-
-    A delivery from age ``d`` lands on an age ``1..k_d``, so the ages
-    ``1..R``, ``R = max(1, max k)``, are closed under the chain (``R`` is also
-    ``max(r, max k[r:])`` for ``r = occurring_ages(k)``, as ``k[:r] <= r``).
-    One dense solve of size ``R`` gives ``g`` and ``h`` there; each older age
-    delivers into them, so its value follows by one back-substitution.
-    """
-    # h_d + g * slots_d - sum_e P[d, e] h_e = cost_d, where sum_e P[d, e] h_e
-    # = C[k_d] = sum_{j < k_d} mu w_j h_{j+1} (delivery at age 1 adds h_1 = 0);
-    # on 1..R, with h_1 = 0 pinned, the first column carries g instead
-    size = max(1, int(k.max()))
-    m = np.eye(size) - delivery_matrix(k[:size], mu)
-    m[:, 0] = slots[:size]
-    h = np.empty(k.size)
-    h[:size] = np.linalg.solve(m, cost[:size])
-    g = float(h[0])
-    h[0] = 0.0
-    c = np.concatenate(([0.0], np.cumsum(mu * w[:size] * h[:size])))
-    h[size:] = cost[size:] - g * slots[size:] + c[k[size:]]
-    return g, h
-
-
 def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
     """Value grid from ``g`` and the delivery-state values ``h``, one
     backward row sweep of the optimality equation anchored at ``v[0, 0]``."""
@@ -207,16 +180,18 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     k = abort_indices(start or local_only_policy(), a_max)
     rows = np.arange(a_max)
     base = _base_ages(a_max)
-    slots, lags, w = cycle_table(params)
+    slots, lags, w = cycles = cycle_table(params)
     capped = rows > a_max - 1 - rows[:, None]  # k > a_max - d: past the ceiling
     converged = False
     for iterations in range(1, _MAX_STEPS + 1):
-        g, h = _evaluate(k, base * slots[k] + lags[k] + params.lam * w[k], slots[k], w,
-                         params.mu)
-        # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k
-        # slots and every later cycle follows the evaluated policy
-        q = (np.multiply.outer(base, slots) + lags + params.lam * w - g * slots
-             + np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1])))
+        g, h = delivery_values(k, params, cycles)
+        # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k slots and
+        # every later cycle follows the evaluated policy; summed in place, one array a step
+        q = np.multiply.outer(base, slots)
+        q += lags
+        q += params.lam * w
+        q -= g * slots
+        q += np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1]))
         q[capped] = np.inf
         best = q.argmin(axis=1)
         current = q[rows, k]
@@ -240,7 +215,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     )
     return SolveReport(
         policy=policy,
-        g=g,
+        g=float(g),
         iterations=iterations,
         span_residual=float(hi - lo),
         converged=converged,
@@ -393,23 +368,14 @@ def _table_of(k, bound: int) -> tuple[int, ...]:
             return tuple(table[1:])
 
 
-def _vector_gains(k: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Average cost of each row of abort indices ``k``, each at most ``k.shape[1]``, by
-    renewal reward on ``cycle_table`` with ``nu`` from one stacked ``delivery_stationary``."""
-    slots, lags, w = cycle_table(params, k.shape[1] + 1)
-    nu = delivery_stationary(k, params.mu)
-    cost = _base_ages(k.shape[1]) * slots[k] + lags[k] + params.lam * w[k]
-    return (nu * cost).sum(axis=1) / (nu * slots[k]).sum(axis=1)
-
-
 def brute_force_best_threshold(params: ModelParams, search_bound: int) -> SolveReport:
     """Exhaustive search over threshold tables with entries in [1, bound].
 
     Tables that share their abort indices on the occurring delivery ages act
     alike on every occurring state, so the search runs over those abort
     vectors instead: ``F(bound + 1)`` of them (34 at bound 8), each evaluated
-    exactly on its delivery-age chain without the solver, which makes this a
-    solver-independent oracle for the optimal policy class.  Each vector
+    exactly by ``chain.delivery_values`` with no policy iteration, which makes
+    this a solver-independent oracle for the optimal policy class.  Each vector
     stands for its first table in descending lexicographic order, and ties
     go to the vector whose table comes first: the result is that of
     scanning every table in that order and keeping each strict improvement.
@@ -423,7 +389,8 @@ def brute_force_best_threshold(params: ModelParams, search_bound: int) -> SolveR
         raise ValueError(f"search_bound {bound} exceeds {_MAX_SEARCH_BOUND}, "
                          f"the largest bound whose candidate abort vectors are searched")
     groups = _abort_vectors(bound)
-    g = [_vector_gains(k, params) for k in groups]
+    cycles = cycle_table(params, bound)
+    g = [delivery_values(k, params, cycles)[0] for k in groups]
     best_g = min(x.min() for x in g)
     best_tab = max(_table_of(k[i], bound) for k, x in zip(groups, g)
                    for i in np.flatnonzero(x == best_g))

@@ -161,6 +161,10 @@ def test_simulate_prints_the_library_result(capsys, family):
          "--amax", "3200"],
         ["eval", "--family", "age_threshold", "--astar", "3200", "--amax", "3200"],
         ["frontier", "--astar-range", "1", "3200", "--amax", "3200"],
+        # counts past the memory budget
+        ["frontier", "--lambda-count", "10000000000000"],
+        ["simulate", "--family", "mec_only", "--horizon", "10000000000000",
+         "--batches", "1000000000000"],
     ],
 )
 def test_invalid_flags_exit_2(capsys, argv):
@@ -187,6 +191,9 @@ def test_invalid_flags_exit_2(capsys, argv):
         ("evaluate_exact", ["eval", "--family", "age_threshold", "--astar", "3200",
                             "--amax", "3200"]),
         ("evaluate_exact", ["frontier", "--astar-range", "1", "3200", "--amax", "3200"]),
+        ("frontier_points", ["frontier", "--lambda-count", "10000000000000"]),
+        ("simulate", ["simulate", "--family", "mec_only", "--horizon", "10000000000000",
+                      "--batches", "1000000000000"]),
     ],
 )
 def test_invalid_flags_exit_2_before_any_work(monkeypatch, capsys, work, argv):

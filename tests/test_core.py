@@ -14,6 +14,7 @@ from aoi_offload.chain import (
 from aoi_offload.cli import lambda_grid
 from aoi_offload.core import (
     LOCAL,
+    MEMORY_BUDGET,
     OFFLOAD,
     RESET,
     ModelParams,
@@ -177,6 +178,17 @@ def test_whole_inputs_are_stored_as_ints():
     assert stored == [50, 1000, 1, 7, 10]
     assert all(type(x) is int for x in stored)
     assert SimConfig(horizon=1000, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_counts_past_the_memory_budget_are_refused():
+    most = MEMORY_BUDGET // 56_000
+    assert lambda_grid(0.01, 3.0, most).size == most
+    with pytest.raises(ValueError, match=f"lambda-count {most + 1} exceeds {most}"):
+        lambda_grid(0.01, 3.0, most + 1)
+    most = MEMORY_BUDGET // 40
+    assert SimConfig(horizon=most, seed=1, warmup=0, batches=most).batches == most
+    with pytest.raises(ValueError, match=f"batches {most + 1} exceeds {most}"):
+        SimConfig(horizon=10**13, seed=1, batches=most + 1)
 
 
 @pytest.mark.parametrize("lo, hi", [(3.0, 0.01), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),

@@ -12,7 +12,8 @@ from aoi_offload.chain import (
     abort_indices,
     age_threshold_policy,
     cycle_table,
-    delivery_matrix,
+    delivery_system,
+    delivery_values,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
@@ -24,7 +25,6 @@ from aoi_offload.cli import lambda_grid
 from aoi_offload.core import ModelParams, State
 from aoi_offload.mdp import (
     _backup,
-    _evaluate,
     _rebuild_grid,
     brute_force_best_threshold,
     default_a_max,
@@ -277,15 +277,13 @@ def _cycles(k, params):
 
 def _dense_evaluation(k, params):
     # the evaluation system on every age 1..a_max: one dense solve
-    cost, slots, _ = _cycles(k, params)
-    m = np.eye(k.size) - delivery_matrix(k, params.mu)
-    m[:, 0] = slots
-    x = np.linalg.solve(m, cost)
+    cost, slots, w = _cycles(k, params)
+    x = np.linalg.solve(delivery_system(k, slots, w, params.mu), cost)
     return float(x[0]), np.append(0.0, x[1:])
 
 
 def _closed_set_evaluation(k, params):
-    return _evaluate(k, *_cycles(k, params), params.mu)
+    return delivery_values(k, params, cycle_table(params))
 
 
 @pytest.mark.parametrize("k, r, size", [

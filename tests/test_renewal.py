@@ -14,8 +14,8 @@ from aoi_offload.chain import (
     age_threshold_policy,
     build_chain,
     cycle_table,
-    delivery_matrix,
-    delivery_stationary,
+    delivery_system,
+    delivery_values,
     evaluate_exact,
     local_only_policy,
     mec_only_policy,
@@ -30,7 +30,6 @@ from aoi_offload.mdp import (
     _abort_vectors,
     _rebuild_grid,
     _table_of,
-    _vector_gains,
     brute_force_best_threshold,
     discounted_vi,
     rvi_solve,
@@ -195,16 +194,32 @@ def test_abort_vectors_are_those_the_tables_reach(bound, a_max):
     assert all(_table_of(k, bound) == first[k] for k in vectors)
 
 
-def test_batched_delivery_matrix_matches_one_vector_at_a_time():
+def test_batched_delivery_values_match_one_vector_at_a_time():
     k = _abort_vectors(9)[4]
-    batched = delivery_matrix(k, 0.35)
+    params = ModelParams(mu=0.35, lam=3.0, a_max=9)
+    cycles = slots, _, w = cycle_table(params)
+    batched = delivery_system(k, slots[k], w, 0.35)
     assert batched.shape == (len(k), 5, 5)
     for kk, mat in zip(k, batched):
-        assert np.array_equal(mat, delivery_matrix(kk, 0.35))
-    nu = delivery_stationary(k, 0.35)
-    assert nu.shape == (len(k), 5)
-    for kk, row in zip(k, nu):
-        assert np.array_equal(row, delivery_stationary(kk, 0.35))
+        assert np.array_equal(mat, delivery_system(kk, slots[kk], w, 0.35))
+    # the oracle's vectors close on every age; the second batch has older
+    # ages, each row with R = 3, so it also takes the back-substitution
+    older = np.random.default_rng(9).integers(0, 4, (6, 8))
+    older[:, 0] = 3
+    for k in (k, older):
+        g, h = delivery_values(k, params, cycles)
+        assert g.shape == (len(k),) and h.shape == k.shape
+        for kk, gg, row in zip(k, g, h):
+            one_g, one_h = delivery_values(kk, params, cycles)
+            assert gg == one_g
+            assert np.array_equal(row, one_h)
+
+
+def _stationary(k, mu, slots, w):
+    """Stationary vector of the delivery-age chain, as ``evaluate_exact`` solves it."""
+    balance = -delivery_system(k, slots[k], w, mu).T
+    balance[0] = 1.0
+    return np.linalg.solve(balance, np.eye(k.size)[0])
 
 
 @pytest.mark.parametrize("mu, a_max", [(0.3, 6), (1.0, 4), (1e-6, 5)])
@@ -232,7 +247,7 @@ def test_cycle_table_gives_service_threshold_closed_form(mu, z):
     # abort after z slots from every occurring age 1..max(z, 1)
     slots, lags, w = cycle_table(ModelParams(mu=mu, a_max=max(2 * z, 2)))
     k = np.full(max(z, 1), z)
-    nu = delivery_stationary(k, mu)
+    nu = _stationary(k, mu, slots, w)
     cycle = nu @ slots[k]
     closed = service_threshold_eval(mu, z)
     age = (np.arange(1, k.size + 1) + 0.5) * slots[k] + lags[k]
@@ -245,7 +260,8 @@ def test_oracle_gains_match_exact_evaluation(mu, lam):
     params = ModelParams(mu=mu, lam=lam, a_max=20)
     exact = {}
     for group in _abort_vectors(8):
-        for k, g in zip(map(tuple, group.tolist()), _vector_gains(group, params)):
+        gains = delivery_values(group, params, cycle_table(params))[0]
+        for k, g in zip(map(tuple, group.tolist()), gains):
             exact[k] = evaluate_exact(threshold_table_policy(_table_of(k, 8)), params).g
             assert g == pytest.approx(exact[k], rel=1e-12)
     assert len(exact) == 34
