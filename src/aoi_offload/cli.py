@@ -312,6 +312,11 @@ def _cmd_verify(args, parser) -> int:
     return _emit(json.dumps(payload, indent=2) + "\n", args.out, payload["passed"])
 
 
+def _one_price(_: str) -> float:
+    raise argparse.ArgumentTypeError(
+        "frontier sweeps prices: use --lambda-min, --lambda-max and --lambda-count")
+
+
 def _add_model_flags(sub, mu_default=0.5, price=True):
     sub.add_argument("--mu", type=float, default=mu_default,
                      help="local per-slot completion probability")
@@ -358,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("--lambda-min", type=float, default=0.01)
     p_frontier.add_argument("--lambda-max", type=float, default=50.0)
     p_frontier.add_argument("--lambda-count", type=int, default=25)
+    # an exact match, so that --lambda is named rather than an ambiguous prefix of the three
+    p_frontier.add_argument("--lambda", dest="lam", type=_one_price, default=argparse.SUPPRESS,
+                            help=argparse.SUPPRESS)
     p_frontier.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p_frontier.set_defaults(func=_cmd_frontier, out="frontier.csv")
 

@@ -23,10 +23,13 @@ best abort index per age; both read the cycle costs of
 one linear solve that the exhaustive oracle also batches; the oracle is
 independent of the solver through its search.  ``_rebuild_grid`` solves
 the optimality equation for the full value grid from ``g`` and ``h``, in one
-backward row sweep.  ``_backup`` applies that equation to a given grid:
+backward row sweep that starts below the rows which offload everywhere.
+``_backup`` applies that equation to a given grid:
 one backup of the rebuilt grid gives the greedy offload set, exactly as at
 a value iteration fixed point, and the thresholds, ``threshold_exact`` and
-both residuals are read off it; the discounted iterates are backups too.
+both residuals are read off it.  The discounted iterates are backups too,
+less the ceiling row and column they drop; both take the backup's local side
+from ``_local_side``.
 The solve reads its grid once and keeps only ``g`` and ``h``.  The name
 ``rvi_solve`` is kept from the relative value iteration this replaced.
 """
@@ -70,8 +73,9 @@ _MAX_STEPS = 100_000
 _MAX_SEARCH_BOUND = 24
 
 #: The largest side of an ``(a, z)`` grid, checked before one is allocated, within
-#: ``core.MEMORY_BUDGET``: at side 3200 a solve peaks at 362 MB RSS and the
-#: discounted iterates at 341 MB, about 33 B per cell (2 CPUs, one BLAS thread).
+#: ``core.MEMORY_BUDGET``: at side 3200 a solve peaks at 373 MB RSS, four grids
+#: at its final backup, and the discounted iterates at 340 MB, two buffers and
+#: two yielded copies; about 36 B per cell (2 CPUs, one BLAS thread).
 _MAX_GRID_SIDE = 3200
 
 
@@ -131,32 +135,58 @@ def _base_ages(a_max: int) -> np.ndarray:
     return np.arange(1, a_max + 1, dtype=float) + 0.5
 
 
+def _local_side(v: np.ndarray, mu: float, beta: float, out: np.ndarray) -> np.ndarray:
+    """The backup's local side of ``v`` on its block ``[:-1, :-1]``, written
+    into the contiguous ``out`` one operation at a time:
+    ``base[i] + beta * (mu * v[j, 0] + (1 - mu) * v[i + 1, j + 1])`` at
+    ``[i, j]``, the same rounding as that expression since IEEE ``+`` and
+    ``*`` commute."""
+    np.multiply(v[1:, 1:], 1.0 - mu, out=out)
+    out += mu * v[:-1, 0]
+    out *= beta
+    out += _base_ages(len(out))[:, None]
+    return out
+
+
 def _backup(v: np.ndarray, p: ModelParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous sweep of the optimality backup of ``v`` at its own
     size, not ``p.a_max``, and its local side on the block ``[:-1, :-1]``:
     the ceiling row and the top service column have no local branch, so
     they offload."""
-    base = _base_ages(v.shape[0])
-    local = base[:-1, None] + beta * (p.mu * v[None, :-1, 0] + (1.0 - p.mu) * v[1:, 1:])
-    out = np.repeat((base + p.lam + beta * v[0, 0])[:, None], v.shape[1], axis=1)
-    np.minimum(local, out[:-1, :-1], out=out[:-1, :-1])
+    side = len(v)
+    local = _local_side(v, p.mu, beta, np.empty((side - 1, side - 1)))
+    offload = _base_ages(side) + p.lam + beta * v[0, 0]
+    out = np.empty_like(v)
+    np.minimum(local, offload[:-1, None], out=out[:-1, :-1])
+    out[:, -1] = offload
+    out[-1, :-1] = offload[-1]
     return out, local
 
 
 def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
     """Value grid from ``g`` and the delivery-state values ``h``, one
-    backward row sweep of the optimality equation anchored at ``v[0, 0]``."""
-    a_max = params.a_max
+    backward row sweep of the optimality equation anchored at ``v[0, 0]``.
+
+    The sweep starts below the offload plane, the rows next to the ceiling
+    that offload at every column.  Under a row that is the constant
+    ``offload[i + 1]``, row ``i``'s least local value sits at ``min(comp)``,
+    since float ``+`` is monotone, so the row offloads everywhere iff that
+    value is at least ``offload[i]``; a NaN fails the test, and then the
+    sweep covers every row."""
+    a_max, mu = params.a_max, params.mu
     base = _base_ages(a_max) - g
     offload = base + params.lam
-    comp = params.mu * h[: a_max - 1]
+    comp = mu * h[: a_max - 1]
+    plane = (base[:-1] + comp.min()) + (1.0 - mu) * offload[1:] >= offload[:-1]
+    fails = np.flatnonzero(~plane)
+    top = int(fails[-1]) + 1 if fails.size else 0  # the plane's first row
     v = np.empty((a_max, a_max))
-    v[:, -1] = offload
-    v[-1, :] = offload[-1]
-    np.add(base[:-1, None], comp, out=v[:-1, :-1])  # each row's constant, base + mu h
-    for i in range(a_max - 2, -1, -1):
+    v[top:] = offload[top:, None]
+    v[:top, -1] = offload[:top]
+    np.add(base[:top, None], comp, out=v[:top, :-1])  # each row's constant, base + mu h
+    for i in range(top - 1, -1, -1):
         row = v[i, :-1]
-        row += (1.0 - params.mu) * v[i + 1, 1:]
+        row += (1.0 - mu) * v[i + 1, 1:]
         np.minimum(row, offload[i], out=row)
     v -= v[0, 0]
     return v
@@ -235,7 +265,9 @@ def discounted_vi(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
     ``a_max`` block free of any edge effects: it is exactly the
     unbounded-grid iterate.  The pad shrinks by one per iterate: each backup
     runs on the previous grid, whose last row and column are the only ones
-    the ceiling touches, and slices them off.
+    the ceiling touches, and forms only its block ``[:-1, :-1]``.  Two
+    buffers of ``(a_max + n_iters)**2`` floats hold every grid, so each
+    yielded iterate is a copy.
     """
     n_iters = validate_whole(n_iters, 0, "n_iters must be an integer")
     check_grid_side(params.a_max + n_iters, "a_max + n_iters")
@@ -243,11 +275,19 @@ def discounted_vi(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
 
 
 def _discounted_iterates(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
-    k = params.a_max
-    v = np.zeros((k + n_iters, k + n_iters))
+    # each grid is the previous one's backup block [:-1, :-1], the local side
+    # against the offload column, written as one contiguous square into the
+    # buffer the grid before last used
+    k, mu, beta = params.a_max, params.mu, params.beta
+    side = k + n_iters
+    buffers = np.zeros((2, side * side))
+    base = _base_ages(side)
+    v = buffers[0].reshape(side, side)
     yield v[:k, :k].copy()
-    for n in range(n_iters, 0, -1):
-        v = _backup(v, params, params.beta)[0][: k + n - 1, : k + n - 1]
+    for m in range(side - 1, k - 1, -1):
+        w = _local_side(v, mu, beta, buffers[(side - m) % 2, : m * m].reshape(m, m))
+        offload = base[:m] + params.lam + beta * v[0, 0]
+        v = np.minimum(w, offload[:, None], out=w)
         yield v[:k, :k].copy()
 
 

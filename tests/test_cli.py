@@ -229,6 +229,23 @@ def test_oversized_grid_message_names_the_limit(capsys):
     assert "a_max 100000 exceeds 3200, the largest side" in capsys.readouterr().err
 
 
+def test_single_price_on_frontier_names_the_sweep_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["frontier", "--lambda", "5"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "ambiguous" not in message
+    assert ("argument --lambda: frontier sweeps prices: "
+            "use --lambda-min, --lambda-max and --lambda-count") in message
+    # a config file's lambda key is still accepted by frontier, which leaves it unused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 2.0}))
+    code, _, _ = run(capsys, ["frontier", "--conf", str(cfg), "--amax", "20", "--astar-range",
+                              "1", "1", "--zstar-range", "0", "0", "--lambda-count", "1",
+                              "--out", str(tmp_path / "f.csv")])
+    assert code == 0
+
+
 def test_frontier_at_defaults_matches_its_golden_file(tmp_path, capsys):
     # the file written at the defaults, kept byte for byte
     out = tmp_path / "frontier.csv"

@@ -88,6 +88,47 @@ def test_shrinking_pad_is_bitwise_the_padded_square(mu, lam, a_max, n_iters):
         assert grid.tobytes() == ref.tobytes()
 
 
+def _backup_by_cells(v, params, beta):
+    """The optimality backup of ``v`` and its local side, cell by cell in
+    Python floats, each cell's operations in the order of ``_backup``'s
+    formula."""
+    side, mu, v = len(v), params.mu, v.tolist()
+    offload = [(a + 0.5) + params.lam + beta * v[0][0] for a in range(1, side + 1)]
+    local = [[(i + 1.5) + beta * (mu * v[j][0] + (1.0 - mu) * v[i + 1][j + 1])
+              for j in range(side - 1)] for i in range(side - 1)]
+    backup = [[min(local[i][j], offload[i]) for j in range(side - 1)] + [offload[i]]
+              for i in range(side - 1)]
+    backup.append([offload[-1]] * side)
+    return np.array(backup), np.array(local)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.99])
+@pytest.mark.parametrize("lam", [0.0, 3.0, 1e6])
+@pytest.mark.parametrize("mu", [1e-4, 0.5, 1.0])
+def test_backup_and_iterates_are_bitwise_the_per_cell_backup(mu, lam, beta):
+    rng = np.random.default_rng(27)
+    n_iters = 10
+    for side in range(2, 9):
+        params = ModelParams(mu=mu, lam=lam, beta=beta, a_max=side)
+        v = rng.uniform(-10.0, 10.0, (side, side))
+        t, local = _backup(v, params, beta)
+        want_t, want_local = _backup_by_cells(v, params, beta)
+        assert t.tobytes() == want_t.tobytes()
+        assert local.tobytes() == want_local.tobytes()
+        # iterates on a square padded by n_iters, whose ceiling cannot reach the block
+        padded = np.zeros((side + n_iters, side + n_iters))
+        for grid in discounted_vi(params, n_iters):
+            assert grid.tobytes() == padded[:side, :side].tobytes()
+            padded = _backup_by_cells(padded, params, beta)[0]
+
+
+def test_yielded_iterates_keep_their_values_after_the_generator_ends():
+    items = [(grid, grid.tobytes())
+             for grid in discounted_vi(ModelParams(mu=0.3, lam=2.0, beta=0.9, a_max=6), 12)]
+    assert len(items) == 13
+    assert all(grid.tobytes() == when_yielded for grid, when_yielded in items)
+
+
 def test_structure_checks_pass_on_solved_instance():
     params = ModelParams(mu=0.5, lam=3.0, beta=0.99, a_max=30)
     report = rvi_solve(params)
@@ -268,6 +309,31 @@ def test_rebuilt_grid_is_bitwise_the_plain_row_sweep():
     report = rvi_solve(params)
     assert (_rebuild_grid(report.g, report.h, params).tobytes()
             == _rebuild_by_rows(report.g, report.h, params).tobytes())
+
+
+def test_rebuilt_grid_is_bitwise_the_row_sweep_at_the_offload_planes_edges():
+    # the plane covers every row at price 0 and no row below the ceiling at
+    # price 1e6
+    for lam, first_rows in ((0.0, {1}), (1e6, {30})):
+        params = ModelParams(mu=0.5, lam=lam, a_max=30)
+        report = rvi_solve(params)
+        assert set(report.full_thresholds[:-1]) == first_rows
+        assert (_rebuild_grid(report.g, report.h, params).tobytes()
+                == _rebuild_by_rows(report.g, report.h, params).tobytes())
+    # with g 0 and min h 0 at mu 1/2 and price 8.5, row 6's least local value,
+    # 7.5 + 0.5 * 17, ties exactly with its offload value 16
+    params = ModelParams(mu=0.5, lam=8.5, a_max=12)
+    h = np.append(0.0, np.random.default_rng(27).uniform(0.0, 50.0, 11))
+    assert (7.5 + 0.5 * h.min()) + 0.5 * (8.5 + 8.5) == 7.5 + 8.5
+    assert _rebuild_grid(0.0, h, params).tobytes() == _rebuild_by_rows(0.0, h, params).tobytes()
+    # a non-finite h
+    for bad in (np.inf, -np.inf, np.nan):
+        h[5] = bad
+        for lam in (0.0, 8.5):
+            params = ModelParams(mu=0.5, lam=lam, a_max=12)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                assert (_rebuild_grid(1.0, h, params).tobytes()
+                        == _rebuild_by_rows(1.0, h, params).tobytes())
 
 
 def _cycles(k, params):
