@@ -44,8 +44,9 @@ import numpy as np
 
 from .core import ModelParams, State, validate_whole
 from .chain import (Policy, abort_indices, cycle_table, delivery_values, local_only_policy,
-                    threshold_table_policy)
+                    mec_only_policy, threshold_table_policy)
 from .chain import evaluate_exact  # noqa: F401  -- perfbench/tracing.py patches it at this name
+from .heuristics import local_only, mec_only
 
 __all__ = [
     "SolveReport",
@@ -195,11 +196,18 @@ def _rebuild_grid(g: float, h: np.ndarray, params: ModelParams) -> np.ndarray:
 def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     """Optimal policy by policy iteration on the delivery-age chain.
 
-    Starts from the abort indices of ``start`` (local-only when omitted) at
-    this ceiling, so a policy solved at any ``a_max`` or price warm-starts
-    it, and alternates exact evaluation with improvement over every abort
-    index ``k <= a_max - d`` per delivered age ``d``, both summed from the
-    vectors of ``cycle_table``.  An age keeps its abort index unless another
+    Starts from the abort indices of ``start`` at this ceiling, so a policy
+    solved at any ``a_max`` or price warm-starts it.  Without ``start`` it
+    begins at the extreme policy with the lower closed-form gain: edge-only
+    when ``heuristics.mec_only(lam).g <= heuristics.local_only(mu).g``,
+    whose first step solves one delivery age where local-only's solves
+    ``a_max - 1``, and local-only otherwise.  Edge-only at every price would
+    stop at abort vectors that tie with the optimum within the improvement
+    tolerance yet cost more: at mu 0.9, price 1e6, a_max 50 its gain is
+    4.8e-11 relative above the local-only start's 31/18.  It alternates
+    exact evaluation with improvement over every abort index
+    ``k <= a_max - d`` per delivered age ``d``, both summed from the vectors
+    of ``cycle_table``.  An age keeps its abort index unless another
     lowers its value by more than ``1e-10`` relative to its size, and the
     loop stops at the first step that changes nothing (``converged`` is
     false if the 100,000-step guard stops it first).  ``iterations`` counts
@@ -207,7 +215,10 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     rebuilt grid minus the grid, zero at an exact solution.
     """
     a_max = check_grid_side(params.a_max)
-    k = abort_indices(start or local_only_policy(), a_max)
+    if start is None:
+        cheap_edge = mec_only(params.lam).g <= local_only(params.mu).g
+        start = mec_only_policy() if cheap_edge else local_only_policy()
+    k = abort_indices(start, a_max)
     rows = np.arange(a_max)
     base = _base_ages(a_max)
     slots, lags, w = cycles = cycle_table(params)
@@ -369,8 +380,9 @@ def sweep_lambdas(mu: float, lambdas, a_max: int) -> list[tuple[float, SolveRepo
 
     Each solve warm-starts from the previous price's policy.  That changes
     the iteration counts, and ``g`` in its last digits where abort indices
-    tie within the improvement tolerance (7.9e-12 off a cold solve at
-    mu 0.9, a_max 40 and price 12.80, with equal thresholds).
+    tie within the improvement tolerance (over ``lambda_grid(0.01, 50, 25)``
+    at mu 0.9, a_max 40: 7.9e-12 off a cold solve at price 12.80 and 3.9e-11
+    at 17.99, with equal thresholds).
     """
     out: list[tuple[float, SolveReport]] = []
     policy = None

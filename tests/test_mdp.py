@@ -492,15 +492,44 @@ def test_warm_start_from_a_smaller_ceiling_is_nearly_fixed():
     assert warm.g == pytest.approx(cold.g, abs=1e-8)
 
 
-@pytest.mark.parametrize("mu, lam, a_max", [
-    (0.5, 3.0, 50), (0.01, 1.0, 120), (1.0, 5.0, 50), (0.5, 0.0, 50), (0.5, 1e6, 50),
+@pytest.mark.parametrize("mu, lam, a_max, start", [
+    (0.5, 3.0, 50, local_only_policy), (0.01, 1.0, 120, mec_only_policy),
+    (1.0, 5.0, 50, local_only_policy), (0.5, 0.0, 50, mec_only_policy),
+    (0.5, 1e6, 50, local_only_policy),
 ])
-def test_cold_start_is_the_local_only_start(mu, lam, a_max):
+def test_cold_start_is_the_cheaper_extreme_policy(mu, lam, a_max, start):
+    # edge-only where its gain 1.5 + lam is at most local-only's (4 - mu) / (2 mu)
     params = ModelParams(mu=mu, lam=lam, a_max=a_max)
-    cold, local = rvi_solve(params), rvi_solve(params, start=local_only_policy())
-    assert (local.iterations, local.g, local.full_thresholds) == (
+    cold, warm = rvi_solve(params), rvi_solve(params, start=start())
+    assert (warm.iterations, warm.g, warm.full_thresholds) == (
         cold.iterations, cold.g, cold.full_thresholds)
-    assert local.h.tobytes() == cold.h.tobytes()
+    assert warm.h.tobytes() == cold.h.tobytes()
+
+
+def test_cold_solve_at_an_extreme_price_keeps_local_only_gain():
+    # at price 1e6 abort vectors that offload earlier than the ceiling tie with
+    # local-only's within the improvement tolerance; the cold start must not
+    # settle on one of them
+    for mu in (0.3, 0.45, 0.7, 0.9):
+        for a_max in (20, 50, 120, 400):
+            params = ModelParams(mu=mu, lam=1e6, a_max=a_max)
+            g0 = evaluate_exact(local_only_policy(), params).g
+            assert abs(rvi_solve(params).g - g0) <= 1e-14 * g0, (mu, a_max)
+
+
+def test_cold_solve_never_solves_the_full_size_system(monkeypatch):
+    sizes = []
+    values = mdp.delivery_values
+
+    def spy(k, params, cycles):
+        sizes.append(max(1, int(k.max())))  # the closed set 1..R the step solves
+        return values(k, params, cycles)
+
+    monkeypatch.setattr(mdp, "delivery_values", spy)
+    report = rvi_solve(ModelParams(mu=0.01, lam=3.0, a_max=1600))
+    assert report.converged
+    assert len(sizes) == report.iterations
+    assert max(sizes) <= 3
 
 
 @pytest.mark.parametrize("mu, lam, a_max", [(0.5, 3.0, 50), (0.01, 1.0, 120)])
@@ -509,7 +538,8 @@ def test_every_start_reaches_the_cold_solution(mu, lam, a_max):
     params = ModelParams(mu=mu, lam=lam, a_max=a_max)
     cold = rvi_solve(params)
     table = np.random.default_rng(14).integers(1, a_max + 1, size=10)
-    for start in (mec_only_policy(), service_threshold_policy(3), threshold_table_policy(table),
+    for start in (local_only_policy(), mec_only_policy(), service_threshold_policy(3),
+                  threshold_table_policy(table),
                   rvi_solve(ModelParams(mu=mu, lam=lam, a_max=20)).policy):
         warm = rvi_solve(params, start=start)
         assert warm.converged
