@@ -79,6 +79,9 @@ NEVER_OFFLOAD = 2**31
 #: hold local-only up to a_max 1666.
 _MAX_CHAIN_STATES = MEMORY_BUDGET // 360
 
+#: The largest first threshold whose abort indices ``abort_rule`` tabulates.
+_DENSE_AGES = 4096
+
 
 @dataclass(frozen=True)
 class Policy:
@@ -163,7 +166,13 @@ def abort_rule(policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
             np.copyto(k, table[-1] - ages, where=ages < least_age[-1])
         return k
 
-    return at
+    # k_d = 0 from d = t_0, the first column's threshold, on: below a small
+    # t_0 one gather from a table of k_0 .. k_{t_0} reads every age
+    t_0 = int(least_age[0])
+    if t_0 > _DENSE_AGES:  # never-offload first columns: local-only, service thresholds
+        return at
+    dense = at(np.arange(t_0 + 1))
+    return lambda ages: dense[np.minimum(ages, t_0)]
 
 
 def abort_indices(policy: Policy, a_max: int) -> np.ndarray:

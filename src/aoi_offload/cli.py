@@ -259,6 +259,13 @@ def _cmd_simulate(args, parser) -> int:
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
+def _z_score(estimate: float, exact: float, stderr: float) -> float:
+    """``|estimate - exact| / stderr``: 0 for an exact estimate, inf for a
+    missed one with no error (a run that never varies)."""
+    miss = abs(estimate - exact)
+    return miss / stderr if stderr > 0 else (math.inf if miss else 0.0)
+
+
 def _verify_checks(args, params: ModelParams, config: SimConfig, iterates) -> dict:
     report = rvi_solve(params)
     structure = verify_structure(iterates, report.policy)
@@ -286,8 +293,10 @@ def _verify_checks(args, params: ModelParams, config: SimConfig, iterates) -> di
         ok = (abs(sres.delta_hat - closed.delta) <= max(3 * sres.stderr_delta, 1e-9)
               and abs(sres.p_bar_hat - closed.p_bar) <= max(3 * sres.stderr_p, 1e-9))
         check(f"simulation_vs_closed_form_z{z_star}", ok,
-              f"delta_hat={sres.delta_hat!r} (se {sres.stderr_delta:.2e}), "
-              f"p_bar_hat={sres.p_bar_hat!r} (se {sres.stderr_p:.2e})")
+              f"delta_hat={sres.delta_hat!r} (se {sres.stderr_delta:.2e}, "
+              f"z {_z_score(sres.delta_hat, closed.delta, sres.stderr_delta):.2f}), "
+              f"p_bar_hat={sres.p_bar_hat!r} (se {sres.stderr_p:.2e}, "
+              f"z {_z_score(sres.p_bar_hat, closed.p_bar, sres.stderr_p):.2f})")
     passed = structure.passed and all(c["passed"] for c in agreement)
     return {
         "passed": passed,

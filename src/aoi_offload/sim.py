@@ -31,7 +31,15 @@ Reproducibility contract: the slot-n uniform is a pure function of
     u_n = (x >> 11) * 2.0**-53
 
 so identical (seed, policy, params, config) reproduce trajectories bit for
-bit, in any implementation of these constants.
+bit, in any implementation of these constants.  ``uniforms`` forms these
+floats; ``simulate`` tests the words in integers, exactly: ``x >> 11`` is
+below ``2**53`` and ``mu * 2**53`` is ``mu`` scaled by a power of two, so
+``u_n < mu`` exactly when ``x >> 11 < mu * 2**53``, that is when ``x >> 11 <
+ceil(mu * 2**53)`` (an integer lies below a real exactly when it lies below
+its ceiling), that is when ``x <= (ceil(mu * 2**53) << 11) - 1``, a bound
+below 2**64 for ``mu <= 1``.  A block's counters are a run-long table of
+``(i + 1) * 0x9E3779B97F4A7C15`` plus the block's offset, so per slot only
+the add, the mix and the comparison run.
 
 Averages are taken over whole batches: the post-warmup span is cut into
 ``batches`` equal contiguous batches (a remainder shorter than a batch is
@@ -50,7 +58,7 @@ from .core import MEMORY_BUDGET, ModelParams, validate_whole
 
 __all__ = ["SimConfig", "SimResult", "uniforms", "simulate", "batch_stderr"]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
@@ -95,20 +103,29 @@ class SimResult:
     slots: int
 
 
+def _mix(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix of the counters ``x``, in place, with ``scratch``
+    of the same size: the stream's words before the ``>> 11``."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(x, np.uint64(shift), out=scratch)
+        x ^= scratch
+        x *= mix
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
+    return x
+
+
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """The slot uniforms u_start .. u_{start+count-1} of the stream ``seed``."""
-    # in place, in two buffers: a chunk's temporaries would each sit at
-    # glibc's mmap threshold, so their cost would hang on allocator state
-    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x *= _GAMMA
-    x += np.uint64(seed & _MASK)
-    shifted = np.empty_like(x)
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(x, np.uint64(shift), out=shifted)
-        x ^= shifted
-        x *= mix
-    np.right_shift(x, np.uint64(31), out=shifted)
-    x ^= shifted
+    seed = validate_whole(seed, 0, "seed must be an integer")
+    if seed > _MASK:
+        raise ValueError(f"seed must be below 2**64, got {seed}")
+    start = validate_whole(start, 0, "start must be an integer")
+    count = validate_whole(count, 0, "count must be an integer")
+    x = np.arange(1, count + 1, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64((seed + start * _GAMMA) & _MASK)
+    _mix(x, np.empty_like(x))
     x >>= np.uint64(11)
     u = x.astype(np.float64)
     u *= 2.0**-53
@@ -145,7 +162,8 @@ def _chunk(ends: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work: n
     end), from the open cycle ``(d, z)`` (delivered age, service slots so
     far), and the cycle it leaves open.  ``abort_at`` is the uncapped
     ``abort_rule``; ``work`` has 6 rows of ``ends.size + 1`` or more."""
-    acc, (n, ds, k) = work[:3, : ends.size + 1], work[3:, : ends.size]
+    acc = work[:3].reshape(-1)[: 3 * ends.size + 3].reshape(-1, 3)
+    n, ds, k = work[3:, : ends.size]
     n[:] = np.diff(ends, prepend=-z)  # slots since each segment's delivery
     period = int(abort_at([1])[0]) + 1
     # A segment reads k_d only as k = min(k_d, n).  Guess k_d = k_1, exact
@@ -172,20 +190,20 @@ def _chunk(ends: np.ndarray, abort_at, d: int, z: int, cuts: np.ndarray, work: n
         k[todo] = kd[moved]
     if (k != guess).any():
         head, off, cycles, rest = _split(n, k, period)
-    # Column s of acc: ages less the full cycles', full cycles and first
+    # Row s of acc: ages less the full cycles', full cycles and first
     # offloads before segment s; a cut in segment j adds its first x slots.
     # No int64 exceeds the age total simulated so far; a full cycle's tri
     # passes int64 for periods over 4e9, so tri * cycles is a Python int.
-    acc[:, 0] = 0
-    acc[0, 1:] = _age_total(head, ds, rest)
-    acc[1, 1:], acc[2, 1:] = cycles, off
-    np.cumsum(acc, axis=1, out=acc)
+    acc[0] = 0
+    acc[1:, 0] = _age_total(head, ds, rest)
+    acc[1:, 1], acc[1:, 2] = cycles, off
+    np.cumsum(acc, axis=0, out=acc)
     tri = period * (period + 1) // 2
     at = []
     for cut, j in zip(cuts.tolist(), np.searchsorted(ends, cuts).tolist()):
         x = cut - int(ends[j]) + int(n[j])
         h, o, q, r = _split(x, min(int(k[j]), x), period)
-        ages, full, offs = acc[:, j].tolist()
+        ages, full, offs = acc[j].tolist()
         at.append((ages + _age_total(h, int(ds[j]), r) + tri * (full + q), offs + o + full + q))
     d, z = (1, rest[-1]) if off[-1] else (ds[-1], n[-1])
     return np.diff(np.array(at, dtype=np.int64), axis=0), int(d), int(z)
@@ -206,16 +224,27 @@ def simulate(policy: Policy, params: ModelParams, config: SimConfig) -> SimResul
     age_sums = np.zeros(config.batches, dtype=np.int64)
     mec_sums = np.zeros(config.batches, dtype=np.int64)
     abort_at = abort_rule(policy)
-    # run-long rows for the kernel and a span's <= 2 * _CHUNK ends: a call's own
-    # would outgrow glibc's trim threshold, twice this buffer, and fault back in
-    work = np.empty((7, 2 * _CHUNK + 2), dtype=np.int64)
+    chunk = _CHUNK
+    # one run-long buffer: rows for the kernel, a span's <= 2 * chunk ends,
+    # and a block's counters, mixing scratch and (i + 1) * GAMMA steps.  A
+    # call's own arrays, or a second buffer, could outgrow glibc's trim
+    # threshold (twice the largest block it has unmapped), be handed back
+    # at each return and fault in again on the next call
+    work = np.empty((10, 2 * chunk + 2), dtype=np.int64)
+    words, scratch, steps = work[7:, :chunk].view(np.uint64)
+    steps.fill(_GAMMA)
+    np.cumsum(steps, out=steps)  # wraps mod 2**64 like the stream's counter
+    # u_n < mu exactly when the word is at most this (see the module docstring)
+    below = np.uint64((math.ceil(params.mu * 2.0**53) << 11) - 1)
     d, z, span, found, ends = 1, 0, 0, 0, work[6]
-    for pos in range(0, total, _CHUNK):
-        stop = min(pos + _CHUNK, total)
-        hits = np.flatnonzero(uniforms(config.seed, pos, stop - pos) < params.mu)
+    for pos in range(0, total, chunk):
+        stop = min(pos + chunk, total)
+        x = words[: stop - pos]
+        np.add(steps[: x.size], np.uint64((config.seed + pos * _GAMMA) & _MASK), out=x)
+        hits = np.flatnonzero(_mix(x, scratch[: x.size]) <= below)
         ends[found : found + hits.size] = hits + (pos + 1 - span)
         found += hits.size
-        if found < _CHUNK and stop < total:
+        if found < chunk and stop < total:
             continue
         # batches of the counted slots; offsets of warmup, batch and span end
         start, end = max(span - warmup, 0), max(stop - warmup, 0)

@@ -392,6 +392,27 @@ def test_verify_simulation_seeds_wrap_at_2_to_the_64(capsys):
     assert checks["simulation_vs_closed_form_z2"].startswith(f"delta_hat={res.delta_hat!r} ")
 
 
+def test_verify_simulation_details_carry_their_z_scores(capsys):
+    # each estimate's |estimate - closed form| / stderr, the distance the
+    # 3-SE gate reads, recomputed from the SimResult fields
+    _, out, _ = run(capsys, ["verify", "--seed", "7", "--amax", "20", "--vi-iters", "5",
+                             "--horizon", "20000"])
+    checks = {c["name"]: c["detail"] for c in json.loads(out)["agreement"]}
+    for z_star in (0, 2, 5):
+        res = simulate(service_threshold_policy(z_star), ModelParams(mu=0.5, lam=3.0, a_max=20),
+                       SimConfig(horizon=20000, seed=7 + z_star))
+        closed = service_threshold_eval(0.5, z_star)
+        z = [abs(est - exact) / se if se else 0.0 for est, exact, se in (
+            (res.delta_hat, closed.delta, res.stderr_delta),
+            (res.p_bar_hat, closed.p_bar, res.stderr_p))]
+        assert checks[f"simulation_vs_closed_form_z{z_star}"] == (
+            f"delta_hat={res.delta_hat!r} (se {res.stderr_delta:.2e}, z {z[0]:.2f}), "
+            f"p_bar_hat={res.p_bar_hat!r} (se {res.stderr_p:.2e}, z {z[1]:.2f})")
+    # an estimate with no error reads 0 when exact and inf when it misses
+    assert cli._z_score(1.5, 1.5, 0.0) == 0.0
+    assert cli._z_score(1.5, 1.25, 0.0) == float("inf")
+
+
 def test_simulate_command_roundtrip(tmp_path, capsys):
     out = tmp_path / "sim.json"
     argv = ["simulate", "--family", "service_threshold", "--zstar", "1",

@@ -25,7 +25,7 @@ from aoi_offload.core import (
 )
 from aoi_offload.heuristics import service_moments, service_threshold_eval, validate_z_star
 from aoi_offload.mdp import brute_force_best_threshold, discounted_vi, rvi_solve
-from aoi_offload.sim import SimConfig, simulate
+from aoi_offload.sim import SimConfig, simulate, uniforms
 
 
 def test_offload_always_resets():
@@ -154,6 +154,10 @@ WHOLE_INPUTS = {
     "SimConfig.warmup": (lambda w: _simulated(warmup=w), 0, 7, ()),
     "SimConfig.batches": (lambda b: _simulated(batches=b), 10, 10, ()),
     "lambda_grid.count": (lambda n: lambda_grid(0.01, 3.0, n).tolist(), 1, 2, ()),
+    # seeds in [0, 2**64) as for SimConfig; a negative count raises, not gives no draws
+    "uniforms.seed": (lambda s: uniforms(s, 0, 3).tolist(), 0, 1, (2**64,)),
+    "uniforms.start": (lambda n: uniforms(1, n, 3).tolist(), 0, 5, ()),
+    "uniforms.count": (lambda n: uniforms(1, 0, n).tolist(), 0, 3, ()),
 }
 
 

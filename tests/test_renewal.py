@@ -96,6 +96,36 @@ def test_abort_rule_is_uncapped_and_only_abort_indices_apply_the_ceiling():
         assert np.array_equal(abort_indices(policy, 20), np.minimum(abort_rule(policy)(d), 20 - d))
 
 
+def least_abort(policy, d):
+    """The least ``j`` at which ``policy`` offloads in state ``(d + j, j)``, stepped."""
+    j = 0
+    while policy.action(d + j, j) == 0:
+        j += 1
+    return j
+
+
+def test_abort_rule_matches_a_per_age_reference():
+    # first thresholds t_0 on both sides of the 4096 below which abort_rule
+    # tabulates k_d, never-offload first columns, ages past t_0, and tables
+    # whose last least age exceeds 1, where k_d reaches past the table
+    rng = np.random.default_rng(29)
+    tables = [(4, 9), (4096, 4098, 5000), (4097, 4098, 5000), (3000, 60, 70),
+              (NEVER_OFFLOAD, NEVER_OFFLOAD, 40), (NEVER_OFFLOAD, 2, 1)]
+    for t_0 in (1, 2, 17, 4095, 4096, 4097, 6000, NEVER_OFFLOAD):
+        for size in range(t_0 == NEVER_OFFLOAD, 5):  # no local-only: its k_d is 2**31 - d
+            tables.append((t_0, *rng.integers(1, 60, size=size).tolist()))
+    past_one = 0
+    for table in tables:
+        policy = threshold_table_policy(table)
+        t_0 = table[0]
+        ages = {*range(1, 41), *range(max(1, t_0 - 3), t_0 + 4), t_0 + 10**6, 2**40,
+                *rng.integers(1, min(t_0, 10**4) + 100, size=20).tolist()}
+        ages = sorted(ages)
+        assert abort_rule(policy)(ages).tolist() == [least_abort(policy, d) for d in ages], table
+        past_one += min(t - z for z, t in enumerate(table)) > 1
+    assert past_one >= 5
+
+
 def test_unreachable_ages_do_not_change_the_result():
     # both tables keep work one slot from age 1 and offload at once from
     # age 2 or 3; deliveries from age 1 have age 1, so only age 1 occurs

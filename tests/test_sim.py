@@ -196,6 +196,62 @@ def test_kernel_matches_replay_on_random_tables(table, mu, seed, warmup, span, b
     assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
 
 
+def seed_for_word(word, n):
+    """The seed whose slot-n word, the mixed counter before its ``>> 11``, is
+    ``word``: the module docstring's recipe undone step by step."""
+    mask = (1 << 64) - 1
+    x = word ^ word >> 31 ^ word >> 62
+    x = x * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    x ^= x >> 27 ^ x >> 54
+    x = x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    x ^= x >> 30 ^ x >> 60
+    return (x - (n + 1) * 0x9E3779B97F4A7C15) & mask
+
+
+def test_seed_for_word_inverts_the_stream():
+    for word, n in ((0, 0), (2047, 5), (2048, _CHUNK), (2**64 - 1, 2**40), (0x123456789ABCDEF, 9)):
+        assert splitmix64_uniform(seed_for_word(word, n), n) == (word >> 11) * 2.0**-53
+
+
+EDGE_POLICIES = (local_only_policy(), threshold_table_policy((5, 3, 2)))
+
+
+@pytest.mark.parametrize("slot", [0, 5_000, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 90])
+def test_a_draw_equal_to_mu_fails_and_one_just_below_succeeds(slot):
+    # the kernel tests words in integers, replay_result the float u_n < mu;
+    # slot n fails at mu = u_n and succeeds at the next float up, the only
+    # float that moves it, so the two runs differ in that slot alone
+    cfg = SimConfig(horizon=2 * _CHUNK + 100, seed=41, warmup=3, batches=10)
+    u = float(uniforms(cfg.seed, slot, 1)[0])
+    runs = {}
+    for mu in (u, float(np.nextafter(u, 1.0))):
+        for policy in EDGE_POLICIES:
+            runs[mu, policy.name] = simulate(policy, ModelParams(mu=mu), cfg)
+            assert runs[mu, policy.name] == replay_result(policy, mu, cfg)
+    assert runs[u, "local_only"] != runs[float(np.nextafter(u, 1.0)), "local_only"]
+
+
+@pytest.mark.parametrize("mu", [2.0**-53, 0.3, 1.0])
+def test_success_test_at_the_integer_edge(mu):
+    # slot n's word set to the last one whose uniform is below mu, then to the
+    # first that is not (none at mu = 1: every word succeeds there)
+    n = _CHUNK + 7
+    edge = math.ceil(mu * 2**53) << 11
+    for word in (edge - 1, edge):
+        if word >= 2**64:
+            continue
+        cfg = SimConfig(horizon=2 * _CHUNK + 100, seed=seed_for_word(word, n), warmup=3, batches=10)
+        assert (uniforms(cfg.seed, n, 1)[0] < mu) == (word < edge)
+        for policy in EDGE_POLICIES:
+            assert simulate(policy, ModelParams(mu=mu), cfg) == replay_result(policy, mu, cfg)
+
+
+def test_uniforms_offsets_wrap_at_2_to_the_64():
+    # the counter offset is formed mod 2**64, so starts near 2**64 read on
+    assert uniforms(1, 2**64 - 2, 3).tolist() == [splitmix64_uniform(1, 2**64 - 2 + i)
+                                                  for i in range(3)]
+
+
 def test_success_on_the_last_slot_of_a_chunk():
     mu = 0.3
     seed = next(s for s in range(1_000) if uniforms(s, _CHUNK - 1, 1)[0] < mu
