@@ -96,8 +96,10 @@ class Policy:
     def __post_init__(self) -> None:
         if len(self.thresholds) == 0:
             raise ValueError("threshold table must not be empty")
-        object.__setattr__(self, "thresholds", tuple(
-            validate_whole(t, 1, "thresholds must be integers") for t in self.thresholds))
+        table = tuple(validate_whole(t, 1, "thresholds must be integers") for t in self.thresholds)
+        if max(table) >= 2**63:  # abort_rule and the simulator read them as int64
+            raise ValueError(f"thresholds must be below 2**63, got {max(table)}")
+        object.__setattr__(self, "thresholds", table)
 
     def action(self, a: int, z: int) -> int:
         return 1 if a >= self.threshold(z) else 0
@@ -397,7 +399,7 @@ def evaluate_exact(policy: Policy, params: ModelParams) -> EvalResult:
     nu = np.linalg.solve(balance, np.eye(k.size)[0])
     chain = build_chain(policy, params)
     ages, service = np.array(chain.states).reshape(-1, 2).T
-    pi = nu[ages - service - 1] * (1.0 - params.mu) ** service
+    pi = nu[ages - service - 1] * w[service]
     pi /= pi.sum()
     flow = np.bincount(chain.cols, weights=pi[chain.rows] * chain.probs, minlength=chain.n)
     _check_balance(flow, pi)

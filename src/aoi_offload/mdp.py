@@ -18,20 +18,23 @@ The solver is semi-Markov policy iteration (Puterman 1994, ch. 11) on the
 delivery-age chain of ``chain``: a policy is one abort index per delivered
 age, and each step evaluates it once, for the average cost ``g`` and the
 relative values ``h(d)`` of the delivery states ``(d, 0)``, then picks the
-best abort index per age; both read the cycle costs of
-``chain.cycle_table``.  The evaluation is ``chain.delivery_values``, the
-one linear solve that the exhaustive oracle also batches; the oracle is
-independent of the solver through its search.  ``_rebuild_grid`` solves
-the optimality equation for the full value grid from ``g`` and ``h``, in one
-backward row sweep that starts below the rows which offload everywhere.
-``_backup`` applies that equation to a given grid:
-one backup of the rebuilt grid gives the greedy offload set, exactly as at
-a value iteration fixed point, and the thresholds, ``threshold_exact`` and
-both residuals are read off it.  The discounted iterates are backups too,
-less the ceiling row and column they drop; both take the backup's local side
-from ``_local_side``.
-The solve reads its grid once and keeps only ``g`` and ``h``.  The name
-``rvi_solve`` is kept from the relative value iteration this replaced.
+best abort index per age off a family of lines: from delivered age ``d``,
+aborting after ``k`` slots is worth ``q(d, k) = (d + 1/2) slots[k] + c_k``,
+slopes rising with ``k``, from the cycle sums of ``chain.cycle_table``.  The
+slope table, ``inf`` past the ceiling's cap ``k <= a_max - d``, is built once
+per solve; a step adds its intercepts ``c`` into one reused table.  The
+evaluation is ``chain.delivery_values``, the one linear solve that the
+exhaustive oracle also batches; the oracle is independent of the solver
+through its search.  ``_rebuild_grid`` solves the optimality equation for the
+full value grid from ``g`` and ``h``, in one backward row sweep that starts
+below the rows which offload everywhere.  ``_backup`` applies that equation
+to a given grid: one backup of the rebuilt grid gives the greedy offload set,
+exactly as at a value iteration fixed point, and the thresholds,
+``threshold_exact`` and both residuals are read off it.  The discounted
+iterates are backups too, less the ceiling row and column they drop; both
+take the backup's local side from ``_local_side``.  The solve reads its grid
+once and keeps only ``g`` and ``h``.  The name ``rvi_solve`` is kept from the
+relative value iteration this replaced.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ _MAX_STEPS = 100_000
 _MAX_SEARCH_BOUND = 24
 
 #: The largest side of an ``(a, z)`` grid, checked before one is allocated, within
-#: ``core.MEMORY_BUDGET``: at side 3200 a solve peaks at 373 MB RSS, four grids
+#: ``core.MEMORY_BUDGET``: at side 3200 a solve peaks at 362 MB RSS, four grids
 #: at its final backup, and the discounted iterates at 340 MB, two buffers and
 #: two yielded copies; about 36 B per cell (2 CPUs, one BLAS thread).
 _MAX_GRID_SIDE = 3200
@@ -107,10 +110,10 @@ class SolveReport:
     Ties keep the work local; at every price ``lam = 1 - mu`` offloading
     from ``(1, 0)`` ties exactly with one local slot, so column 0 reads 2.
     ``h[d - 1]`` is the relative value of delivery state ``(d, 0)``, with
-    ``h[0] = 0``.  Both residuals come from the solve's one backup ``t`` of
-    its grid ``v = _rebuild_grid(g, h, params)``: the span of ``t - v`` and
-    the optimality equation's miss ``max |t - v - g|`` (``None``, like ``h``, from the oracle).
-    """
+    ``h[0] = 0``; ``g`` and ``h`` belong to the last abort vector evaluated,
+    not to the returned table.  Both residuals read the one backup ``t`` of
+    ``v = _rebuild_grid(g, h, params)``: the span of ``t - v`` and the miss
+    ``max |t - v - g|`` (``None``, like ``h``, from the oracle)."""
 
     policy: Policy
     g: float
@@ -205,14 +208,14 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
     stop at abort vectors that tie with the optimum within the improvement
     tolerance yet cost more: at mu 0.9, price 1e6, a_max 50 its gain is
     4.8e-11 relative above the local-only start's 31/18.  It alternates
-    exact evaluation with improvement over every abort index
-    ``k <= a_max - d`` per delivered age ``d``, both summed from the vectors
-    of ``cycle_table``.  An age keeps its abort index unless another
-    lowers its value by more than ``1e-10`` relative to its size, and the
-    loop stops at the first step that changes nothing (``converged`` is
-    false if the 100,000-step guard stops it first).  ``iterations`` counts
-    improvement steps; both residuals read one optimality backup of the
-    rebuilt grid minus the grid, zero at an exact solution.
+    exact evaluation with improvement over the lines ``q(d, k)``, every abort
+    index ``k <= a_max - d`` per delivered age ``d``.  An age keeps its abort
+    index unless another lowers its value by more than ``1e-10`` relative to
+    its size, and the loop stops at the first step that changes nothing
+    (``converged`` is false if the 100,000-step guard stops it first).
+    ``iterations`` counts improvement steps; both residuals read one
+    optimality backup of the rebuilt grid minus the grid, zero at an exact
+    solution.
     """
     a_max = check_grid_side(params.a_max)
     if start is None:
@@ -220,28 +223,23 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         start = mec_only_policy() if cheap_edge else local_only_policy()
     k = abort_indices(start, a_max)
     rows = np.arange(a_max)
-    base = _base_ages(a_max)
     slots, lags, w = cycles = cycle_table(params)
-    capped = rows > a_max - 1 - rows[:, None]  # k > a_max - d: past the ceiling
-    converged = False
+    # q[d - 1, k] = slopes[d - 1, k] + c[k]: the lines of the module docstring
+    slopes = np.multiply.outer(_base_ages(a_max), slots)
+    slopes[rows + rows[:, None] > a_max - 1] = np.inf
+    q = np.empty_like(slopes)
     for iterations in range(1, _MAX_STEPS + 1):
         g, h = delivery_values(k, params, cycles)
-        # q[d - 1, k]: value of delivery state (d, 0) when it aborts after k slots and
-        # every later cycle follows the evaluated policy; summed in place, one array a step
-        q = np.multiply.outer(base, slots)
-        q += lags
-        q += params.lam * w
-        q -= g * slots
-        q += np.concatenate(([0.0], np.cumsum(params.mu * w * h)[:-1]))
-        q[capped] = np.inf
+        c = lags + params.lam * w - g * slots + np.append(0.0, np.cumsum(params.mu * w * h)[:-1])
+        np.add(slopes, c, out=q)
         best = q.argmin(axis=1)
         current = q[rows, k]
         better = q[rows, best] < current - _IMPROVE_REL_TOL * (1.0 + np.abs(current))
         if not better.any():
-            converged = True
             break
         k = np.where(better, best, k)
-    del q, capped  # the grid's backup needs neither
+    # the backup needs neither; slopes first: freeing q first made later solves fault pages in
+    del slopes, q
     v = _rebuild_grid(g, h, params)
     # one backup of the rebuilt grid: the greedy action offloads exactly where
     # that is strictly cheaper (ties keep the work local); the ceiling row and
@@ -259,7 +257,7 @@ def rvi_solve(params: ModelParams, start: Policy | None = None) -> SolveReport:
         g=float(g),
         iterations=iterations,
         span_residual=float(hi - lo),
-        converged=converged,
+        converged=not better.any(),  # the last step changed nothing
         h=h,
         threshold_exact=not (off[:-1] > off[1:]).any(),  # offload sets upward closed in age
         bellman_residual=float(max(hi - g, g - lo)),

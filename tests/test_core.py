@@ -136,8 +136,10 @@ def _simulated(**config):
 # value, further inputs that must raise)
 WHOLE_INPUTS = {
     "validate_whole": (lambda x: validate_whole(x, 3, "x must be an integer"), 3, 7, ()),
-    "Policy": (lambda t: Policy("t", (5, t)), 1, 2, ()),
-    "threshold_table_policy": (lambda t: threshold_table_policy(np.array([5.0, t])), 1, 2, ()),
+    # thresholds at or above 2**63 overflow the int64 tables that abort_rule reads
+    "Policy": (lambda t: Policy("t", (5, t)), 1, 2, (2**63,)),
+    "threshold_table_policy": (
+        lambda t: threshold_table_policy(np.array([5.0, t])), 1, 2, (2**63,)),
     "age_threshold_policy": (lambda a: age_threshold_policy(a, 50), 1, 4, ()),
     "service_threshold_policy": (service_threshold_policy, 0, 3, ()),
     "validate_z_star": (validate_z_star, 0, 3, ()),
@@ -182,6 +184,18 @@ def test_whole_inputs_are_stored_as_ints():
     assert stored == [50, 1000, 1, 7, 10]
     assert all(type(x) is int for x in stored)
     assert SimConfig(horizon=1000, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_thresholds_below_the_int64_bound_are_read_and_larger_ones_refused():
+    params = ModelParams(mu=0.5, a_max=20)
+    config = SimConfig(horizon=1000, seed=1)
+    for table in ((2**63 - 1,), (5, 2**63 - 1), (2**63 - 1, 3)):
+        policy = threshold_table_policy(table)
+        assert evaluate_exact(policy, params).g > 0
+        assert simulate(policy, params, config).slots > 0
+    for table in ((2**63,), (5, 2**63), (2**64 + 1, 3)):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            threshold_table_policy(table)
 
 
 def test_counts_past_the_memory_budget_are_refused():

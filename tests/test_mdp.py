@@ -532,6 +532,66 @@ def test_cold_solve_never_solves_the_full_size_system(monkeypatch):
     assert max(sizes) <= 3
 
 
+def _reference_lines(g, h, params):
+    """Per delivered age ``d``, the values ``q(d, j)`` of aborting after ``j <=
+    a_max - d`` slots, each summed alone in plain floats: the line
+    ``(d + 1/2) slots[j] + c_j``, ``c_j = lags[j] + lam w[j] - g slots[j] +
+    sum_{i < j} mu w[i] h[i]``."""
+    slots, lags, w = (x.tolist() for x in cycle_table(params))
+    g, h, a_max = float(g), h.tolist(), params.a_max
+    future = [0.0]
+    for i in range(a_max - 1):
+        future.append(future[-1] + params.mu * w[i] * h[i])
+    c = [lags[j] + params.lam * w[j] - g * slots[j] + future[j] for j in range(a_max)]
+    return [[(d + 0.5) * slots[j] + c[j] for j in range(a_max - d + 1)]
+            for d in range(1, a_max + 1)]
+
+
+def test_each_step_improves_by_the_line_family_under_the_keep_rule(monkeypatch):
+    # every policy-iteration step, cell by cell: an age moves to its first
+    # least line only when that undercuts its current line by the keep rule's
+    # margin; and outside near-ties the least line's index does not rise with
+    # the delivered age, the age-threshold structure at every step
+    steps = []
+    values = mdp.delivery_values
+
+    def spy(k, params, cycles):
+        g, h = values(k, params, cycles)
+        steps.append((k.copy(), g, h.copy()))
+        return g, h
+
+    monkeypatch.setattr(mdp, "delivery_values", spy)
+    rng = np.random.default_rng(30)
+    starts = [local_only_policy(), mec_only_policy(), None]
+    compared = descents = 0
+    for case in range(200):
+        params = ModelParams(mu=float(rng.uniform(0.005, 1.0)),
+                             lam=float(np.exp(rng.uniform(-3.0, 5.0))),
+                             a_max=int(rng.integers(2, 81)))
+        start = starts[case % 3] or threshold_table_policy(
+            rng.integers(1, params.a_max + 1, size=int(rng.integers(1, 8))))
+        steps.clear()
+        report = rvi_solve(params, start=start)
+        assert report.converged and len(steps) == report.iterations
+        for i, (k, g, h) in enumerate(steps):
+            lines = _reference_lines(g, h, params)
+            want = []
+            for kd, q in zip(k.tolist(), lines):
+                best = q.index(min(q))
+                keep = q[best] >= q[kd] - mdp._IMPROVE_REL_TOL * (1.0 + abs(q[kd]))
+                want.append(kd if keep else best)
+            nxt = steps[i + 1][0] if i + 1 < len(steps) else k
+            assert nxt.tolist() == want, (case, i)
+            best = [q.index(min(q)) for q in lines]
+            for d, q in enumerate(lines[:-1]):
+                low, second = sorted(q)[:2]
+                if second - low > 1e-9 * (1.0 + abs(low)):
+                    assert best[d + 1] <= best[d], (case, i, d + 1)
+                    compared += 1
+                    descents += best[d + 1] < best[d]
+    assert compared > 15_000 and descents > 1_500
+
+
 @pytest.mark.parametrize("mu, lam, a_max", [(0.5, 3.0, 50), (0.01, 1.0, 120)])
 def test_every_start_reaches_the_cold_solution(mu, lam, a_max):
     # points where no two abort indices tie within the improvement tolerance
