@@ -94,11 +94,17 @@ class Policy:
     thresholds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.thresholds) == 0:
+        thresholds = self.thresholds
+        if len(thresholds) == 0:
             raise ValueError("threshold table must not be empty")
-        table = tuple(validate_whole(t, 1, "thresholds must be integers") for t in self.thresholds)
-        if max(table) >= 2**63:  # abort_rule and the simulator read them as int64
-            raise ValueError(f"thresholds must be below 2**63, got {max(table)}")
+        if (isinstance(thresholds, np.ndarray) and thresholds.dtype.kind == "i"
+                and thresholds.ndim == 1 and thresholds.min() >= 1):
+            # one numpy pass; signed integers of at most 64 bits are below 2**63
+            table = tuple(thresholds.tolist())
+        else:
+            table = tuple(validate_whole(t, 1, "thresholds must be integers") for t in thresholds)
+            if max(table) >= 2**63:  # abort_rule and the simulator read them as int64
+                raise ValueError(f"thresholds must be below 2**63, got {max(table)}")
         object.__setattr__(self, "thresholds", table)
 
     def action(self, a: int, z: int) -> int:
@@ -145,7 +151,8 @@ def mec_only_policy() -> Policy:
 
 def threshold_table_policy(table, name: str | None = None) -> Policy:
     """Policy of ``table``, any iterable of thresholds; ``Policy`` stores them as ints."""
-    return Policy(name=name or "threshold_table", thresholds=tuple(table))
+    table = table if isinstance(table, np.ndarray) and table.ndim == 1 else tuple(table)
+    return Policy(name=name or "threshold_table", thresholds=table)
 
 
 def abort_rule(policy: Policy) -> Callable[[np.ndarray], np.ndarray]:

@@ -32,8 +32,13 @@ to a given grid: one backup of the rebuilt grid gives the greedy offload set,
 exactly as at a value iteration fixed point, and the thresholds,
 ``threshold_exact`` and both residuals are read off it.  The discounted
 iterates are backups too, less the ceiling row and column they drop; both
-take the backup's local side from ``_local_side``.  The solve reads its grid
-once and keeps only ``g`` and ``h``.  The name ``rvi_solve`` is kept from the
+take the backup's local side from ``_local_side``.  The iterates form only
+the rows above their offload plane, the rows next to the ceiling that
+offload at every column, by the test ``_rebuild_grid`` uses: a row joins
+when the row under it lies in the plane and its least local value, at the
+least ``v[j, 0]``, offloads.  Each yielded iterate is assembled from the
+formed rows and the plane's offload values.  The solve reads its grid once
+and keeps only ``g`` and ``h``.  The name ``rvi_solve`` is kept from the
 relative value iteration this replaced.
 """
 
@@ -78,8 +83,9 @@ _MAX_SEARCH_BOUND = 24
 
 #: The largest side of an ``(a, z)`` grid, checked before one is allocated, within
 #: ``core.MEMORY_BUDGET``: at side 3200 a solve peaks at 362 MB RSS, four grids
-#: at its final backup, and the discounted iterates at 340 MB, two buffers and
-#: two yielded copies; about 36 B per cell (2 CPUs, one BLAS thread).
+#: at its final backup, and the discounted iterates at 340 MB with an offload
+#: plane or without one, two buffers that the first two backups fill and two
+#: yielded iterates; about 36 B per cell (2 CPUs, one BLAS thread).
 _MAX_GRID_SIDE = 3200
 
 
@@ -140,15 +146,18 @@ def _base_ages(a_max: int) -> np.ndarray:
 
 
 def _local_side(v: np.ndarray, mu: float, beta: float, out: np.ndarray) -> np.ndarray:
-    """The backup's local side of ``v`` on its block ``[:-1, :-1]``, written
-    into the contiguous ``out`` one operation at a time:
+    """The backup's local side of ``v`` on the top-left ``(r, c)`` corner of
+    its block ``[:-1, :-1]``, ``(r, c)`` being ``out``'s shape, written into
+    the contiguous ``out`` one operation at a time:
     ``base[i] + beta * (mu * v[j, 0] + (1 - mu) * v[i + 1, j + 1])`` at
     ``[i, j]``, the same rounding as that expression since IEEE ``+`` and
-    ``*`` commute."""
-    np.multiply(v[1:, 1:], 1.0 - mu, out=out)
-    out += mu * v[:-1, 0]
+    ``*`` commute.  It reads rows ``1..r`` of ``v`` and ``c`` entries of its
+    column 0."""
+    r, c = out.shape
+    np.multiply(v[1:r + 1, 1:c + 1], 1.0 - mu, out=out)
+    out += mu * v[:c, 0]
     out *= beta
-    out += _base_ages(len(out))[:, None]
+    out += _base_ages(r)[:, None]
     return out
 
 
@@ -275,8 +284,17 @@ def discounted_vi(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
     unbounded-grid iterate.  The pad shrinks by one per iterate: each backup
     runs on the previous grid, whose last row and column are the only ones
     the ceiling touches, and forms only its block ``[:-1, :-1]``.  Two
-    buffers of ``(a_max + n_iters)**2`` floats hold every grid, so each
-    yielded iterate is a copy.
+    buffers of ``(a_max + n_iters)**2`` floats hold every grid.
+
+    Each grid forms only the rows above its offload plane, the rows that
+    offload at every column, each the constant ``offload[i]``.  Row ``i``
+    joins the plane when row ``i + 1`` of the previous grid lies in it and
+    the least of its local values, which sits at the least ``v[j, 0]`` since
+    each float operation of the local side is monotone, is no less than
+    ``offload[i]``; a NaN fails the test and the row is formed.  Formed rows
+    join it too when the last of them offloads everywhere.  Each yielded
+    iterate is a new array, assembled from the formed rows and the plane's
+    offload values, and bitwise the iterate that forms every row.
     """
     n_iters = validate_whole(n_iters, 0, "n_iters must be an integer")
     check_grid_side(params.a_max + n_iters, "a_max + n_iters")
@@ -284,20 +302,55 @@ def discounted_vi(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
 
 
 def _discounted_iterates(params: ModelParams, n_iters: int) -> Iterator[np.ndarray]:
-    # each grid is the previous one's backup block [:-1, :-1], the local side
-    # against the offload column, written as one contiguous square into the
-    # buffer the grid before last used
+    # each grid is the previous one's backup block [:-1, :-1].  Its rows from
+    # `top` on are the plane, row i the constant `plane[i]`; the rows above are
+    # formed as one contiguous block into the buffer the grid before last
+    # used.  A plane row is written into its buffer only where formed rows
+    # read it: column 0 always, the whole row when a formed row lies above it.
+    # The all-zero start is formed: `top = side`, so its `plane` is not read.
     k, mu, beta = params.a_max, params.mu, params.beta
     side = k + n_iters
     buffers = np.zeros((2, side * side))
     base = _base_ages(side)
-    v = buffers[0].reshape(side, side)
-    yield v[:k, :k].copy()
+    v, plane, top = buffers[0].reshape(side, side), base, side
+    yield _assembled(v, plane, top, k)
     for m in range(side - 1, k - 1, -1):
-        w = _local_side(v, mu, beta, buffers[(side - m) % 2, : m * m].reshape(m, m))
+        v[top:m, 0] = plane[top:m]
         offload = base[:m] + params.lam + beta * v[0, 0]
-        v = np.minimum(w, offload[:, None], out=w)
-        yield v[:k, :k].copy()
+        rows = m
+        if top <= m:
+            # the join test on the rows over the plane, each row's least local
+            # value in _local_side's operation order
+            low = max(top - 1, 0)
+            least = plane[low + 1:m + 1] * (1.0 - mu)
+            least += mu * v[:m, 0].min()
+            least *= beta
+            least += base[low:m]
+            fails = np.flatnonzero(~(least >= offload[low:]))
+            rows = low + int(fails[-1]) + 1 if fails.size else low
+            v[top:rows + 1] = plane[top:rows + 1, None]
+        grid = buffers[(side - m) % 2, : m * m].reshape(m, m)
+        w = _local_side(v, mu, beta, grid[:rows])
+        np.minimum(w, offload[:rows, None], out=w)
+        # a formed row is at most its offload value, so it offloads everywhere
+        # iff its least value is that value.  Column 0, the least column of a
+        # grid non-decreasing in age and service, goes first: a grid with no
+        # plane pays one cell's test per iterate.
+        while rows and w[rows - 1, 0] == offload[rows - 1] == w[rows - 1].min():
+            rows -= 1
+        v, plane, top = grid, offload, rows
+        yield _assembled(v, plane, top, k)
+
+
+def _assembled(v: np.ndarray, plane: np.ndarray, top: int, k: int) -> np.ndarray:
+    """The ``(k, k)`` corner of grid ``v`` whose rows from ``top`` on are the
+    plane, each row ``i`` the constant ``plane[i]``, as a new array."""
+    if top >= k:  # the corner holds no plane row: one copy
+        return v[:k, :k].copy()
+    out = np.empty((k, k))
+    out[:top] = v[:top, :k]
+    out[top:] = plane[top:k, None]
+    return out
 
 
 @dataclass
@@ -323,12 +376,23 @@ class StructureReport:
         return {"passed": self.passed, **asdict(self)}
 
 
-# name, the differences that must be non-negative, and the offset from their
-# index to the witness state (a, z)
+def _age_steps(g: np.ndarray) -> np.ndarray:
+    return g[1:, :] - g[:-1, :]
+
+
+def _service_steps(g: np.ndarray) -> np.ndarray:
+    return g[:, 1:] - g[:, :-1]
+
+
+# name, the differences that must be non-negative, their least value from the
+# grid and its least value (NaN if any difference is NaN), and the offset from
+# their index to the witness state (a, z).  The relative values' least needs
+# no array of them: subtracting a constant is monotone, so it is exact.
 _VALUE_CHECKS = (
-    ("value_nondecreasing_in_age", lambda g: g[1:, :] - g[:-1, :], (2, 0)),
-    ("value_nondecreasing_in_service", lambda g: g[:, 1:] - g[:, :-1], (1, 1)),
-    ("relative_value_nonnegative", lambda g: g - g[0, 0], (1, 0)),
+    ("value_nondecreasing_in_age", _age_steps, lambda g, lo: _age_steps(g).min(), (2, 0)),
+    ("value_nondecreasing_in_service", _service_steps,
+     lambda g, lo: _service_steps(g).min(), (1, 1)),
+    ("relative_value_nonnegative", lambda g: g - g[0, 0], lambda g, lo: lo - g[0, 0], (1, 0)),
 )
 
 
@@ -347,22 +411,23 @@ def verify_structure(value_iterates: Iterable[np.ndarray], policy: Policy) -> St
     a_max = None
     for k, grid in enumerate(value_iterates):
         a_max = len(grid)
-        scale = float(np.abs(grid).max())
+        lo = grid.min()
+        scale = float(max(grid.max(), -lo))  # max |value|, NaN if any value is
         finite = math.isfinite(scale)  # false if any value is NaN or infinite
         # an infinite tolerance leaves only the non-finite differences failing
         tol = _STRUCTURE_REL_TOL * (1.0 + scale) if finite else math.inf
-        for name, diff_of, (da, dz) in _VALUE_CHECKS:
+        for name, diff_of, least_of, (da, dz) in _VALUE_CHECKS:
             if name in found:
                 continue
-            arr = diff_of(grid)
-            if finite and arr.min() >= -tol:  # most iterates pass; skip the index search
+            if finite and least_of(grid, lo) >= -tol:  # most iterates pass; skip the index search
                 continue
+            arr = diff_of(grid)
             i, j = np.argwhere(~(np.isfinite(arr) & (arr >= -tol)))[0]
             found[name] = StructureCheck(name, False, State(int(i) + da, int(j) + dz),
                                          f"iterate {k}: violated by {float(arr[i, j]):.3e}")
     if a_max is None:
         raise ValueError("need at least one value iterate")
-    checks = [found.get(name, StructureCheck(name, True)) for name, _, _ in _VALUE_CHECKS]
+    checks = [found.get(name, StructureCheck(name, True)) for name, *_ in _VALUE_CHECKS]
 
     thresholds = np.array([min(policy.threshold(z), a_max) for z in range(a_max)])
     rising = np.flatnonzero(np.diff(thresholds) > 0)

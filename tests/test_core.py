@@ -1,5 +1,6 @@
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,24 @@ def test_thresholds_below_the_int64_bound_are_read_and_larger_ones_refused():
     for table in ((2**63,), (5, 2**63), (2**64 + 1, 3)):
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
             threshold_table_policy(table)
+
+
+@pytest.mark.parametrize("table, dtype", [
+    ((5, 3, 1), np.int64), ((5, 0, 1), np.int32), ((0,), np.int8), ((-3, 2), np.int64),
+    ((2, -1, 0), np.int16), ((2**62, 7), np.int64), ((2**31 - 1, 1), np.int32),
+])
+def test_integer_arrays_are_checked_like_tuples(table, dtype):
+    # an integer array takes one numpy pass; it accepts and refuses what the
+    # per-entry check does, with the same message for the first bad entry
+    try:
+        want = threshold_table_policy(table).thresholds
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            threshold_table_policy(np.array(table, dtype=dtype))
+    else:
+        got = threshold_table_policy(np.array(table, dtype=dtype)).thresholds
+        assert got == want
+        assert all(type(t) is int for t in got)
 
 
 def test_counts_past_the_memory_budget_are_refused():

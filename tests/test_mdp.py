@@ -73,10 +73,14 @@ def _padded_square_vi(params, n_iters):
     return out
 
 
-# the last point keeps work local at the ceiling, so a pad ceiling leaking
-# into the stored block would show there
+# the third point keeps work local at the ceiling, so a pad ceiling leaking
+# into the stored block would show there.  Of the offload plane's extremes:
+# at price 1e6, and at mu 1 where column 0 always works locally, no row
+# offloads everywhere; at price 0 every row does from the first backup on;
+# at mu 1e-4 all but two rows do from the third
 @pytest.mark.parametrize("mu, lam, a_max, n_iters", [
     (0.5, 3.0, 50, 300), (0.01, 0.5, 120, 50), (0.9, 20.0, 6, 60),
+    (0.5, 1e6, 20, 60), (0.5, 0.0, 20, 60), (1e-4, 3.0, 50, 120), (1.0, 3.0, 10, 40),
 ])
 def test_shrinking_pad_is_bitwise_the_padded_square(mu, lam, a_max, n_iters):
     params = ModelParams(mu=mu, lam=lam, beta=0.99, a_max=a_max)
@@ -86,6 +90,22 @@ def test_shrinking_pad_is_bitwise_the_padded_square(mu, lam, a_max, n_iters):
     for grid, ref in zip(got, want):
         assert grid.shape == ref.shape
         assert grid.tobytes() == ref.tobytes()
+
+
+def test_iterates_form_only_the_rows_above_the_offload_plane(monkeypatch):
+    # forming every row of the shrinking pad takes sum(m**2, m = 50..349)
+    # cells; the rows that offload at every column are left out
+    formed = []
+    local_side = mdp._local_side
+
+    def spy(v, mu, beta, out):
+        formed.append(out.size)
+        return local_side(v, mu, beta, out)
+
+    monkeypatch.setattr(mdp, "_local_side", spy)
+    iterates = list(discounted_vi(ModelParams(mu=0.5, lam=3.0, beta=0.99, a_max=50), 300))
+    assert len(iterates) == len(formed) + 1 == 301
+    assert sum(formed) < 0.1 * sum(m * m for m in range(50, 350))
 
 
 def _backup_by_cells(v, params, beta):

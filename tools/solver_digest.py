@@ -1,5 +1,6 @@
-"""One sha256 over 1,461 optimal-policy solves, to show that a solver change
-leaves every output bit in place.
+"""Two sha256 digests, to show that a solver change leaves every output bit
+in place: one over 1,461 optimal-policy solves, one over the discounted value
+iterates and their structure reports at 96 points.
 
 Run from the repository root, with one BLAS thread so that the dense solves
 round alike from run to run::
@@ -7,8 +8,10 @@ round alike from run to run::
     OPENBLAS_NUM_THREADS=1 python tools/solver_digest.py
 
 It imports the package from the ``src`` next to this script, so a copy of the
-script in another checkout digests that checkout.  It prints the number of
-reports, the total of their policy-iteration steps and the hash.
+script in another checkout digests that checkout.  Its first line gives the
+number of reports, the total of their policy-iteration steps and the hash of
+the solves; its second the number of points, the total of their iterates and
+the hash of the iterates and reports.
 
 The reports, in this order:
 
@@ -27,6 +30,12 @@ The reports, in this order:
 
 Each report hashes ``repr`` of ``(g, iterations, converged, threshold_exact,
 full_thresholds, span_residual, bellman_residual)`` and the bytes of ``h``.
+
+The iterate points are mu {1e-4, 0.01, 0.5, 1} x price {0, 3, 1e6} x beta
+{0.5, 0.99} x (a_max, n_iters) {(2, 0), (8, 40), (50, 100), (50, 300)}, in
+that order.  Each hashes the bytes of every iterate of ``discounted_vi`` and
+then ``repr`` of the ``to_dict`` of ``verify_structure`` over them, against the
+policy of a cold ``rvi_solve`` at the point.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aoi_offload.cli import lambda_grid  # noqa: E402
 from aoi_offload.core import ModelParams  # noqa: E402
-from aoi_offload.mdp import rvi_solve, sweep_lambdas  # noqa: E402
+from aoi_offload.mdp import discounted_vi, rvi_solve, sweep_lambdas, verify_structure  # noqa: E402
 
 MUS = (1e-4, 0.01, 0.05, 0.2, 0.45, 0.7, 0.9, 1.0)
 PRICES = (0.0, 0.3, 1.0, 3.0, 12.8, 1000.0)
@@ -74,6 +83,27 @@ def reports():
         yield cold(mu, lam, a_max)
 
 
+def iterate_digest() -> tuple[int, int, str]:
+    digest = hashlib.sha256()
+    count = iterates = 0
+
+    def hashed(grids):
+        nonlocal iterates
+        for grid in grids:
+            digest.update(grid.tobytes())
+            iterates += 1
+            yield grid
+
+    for mu, lam, beta, (a_max, n_iters) in itertools.product(
+            (1e-4, 0.01, 0.5, 1.0), (0.0, 3.0, 1e6), (0.5, 0.99),
+            ((2, 0), (8, 40), (50, 100), (50, 300))):
+        params = ModelParams(mu=mu, lam=lam, beta=beta, a_max=a_max)
+        report = verify_structure(hashed(discounted_vi(params, n_iters)), rvi_solve(params).policy)
+        digest.update(repr(report.to_dict()).encode())
+        count += 1
+    return count, iterates, digest.hexdigest()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     count = steps = 0
@@ -84,6 +114,8 @@ def main() -> None:
         count += 1
         steps += r.iterations
     print(f"reports {count}  steps {steps}  sha256 {digest.hexdigest()}")
+    points, iterates, sha = iterate_digest()
+    print(f"points {points}  iterates {iterates}  sha256 {sha}")
 
 
 if __name__ == "__main__":
