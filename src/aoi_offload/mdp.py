@@ -345,11 +345,10 @@ def _discounted_iterates(params: ModelParams, n_iters: int) -> Iterator[np.ndarr
 def _assembled(v: np.ndarray, plane: np.ndarray, top: int, k: int) -> np.ndarray:
     """The ``(k, k)`` corner of grid ``v`` whose rows from ``top`` on are the
     plane, each row ``i`` the constant ``plane[i]``, as a new array."""
-    if top >= k:  # the corner holds no plane row: one copy
-        return v[:k, :k].copy()
+    t = min(top, k)
     out = np.empty((k, k))
-    out[:top] = v[:top, :k]
-    out[top:] = plane[top:k, None]
+    out[:t] = v[:t, :k]
+    out[t:] = plane[t:k, None]
     return out
 
 
@@ -376,23 +375,15 @@ class StructureReport:
         return {"passed": self.passed, **asdict(self)}
 
 
-def _age_steps(g: np.ndarray) -> np.ndarray:
-    return g[1:, :] - g[:-1, :]
-
-
-def _service_steps(g: np.ndarray) -> np.ndarray:
-    return g[:, 1:] - g[:, :-1]
-
-
-# name, the differences that must be non-negative, their least value from the
-# grid and its least value (NaN if any difference is NaN), and the offset from
-# their index to the witness state (a, z).  The relative values' least needs
-# no array of them: subtracting a constant is monotone, so it is exact.
+# name, the differences that must be non-negative, the offset from their
+# index to the witness state (a, z) and, where it needs no array of them,
+# their least value (NaN if any difference is NaN) from the grid and its least
+# value.  Subtracting a constant is monotone, so the relative values' least is
+# exact.
 _VALUE_CHECKS = (
-    ("value_nondecreasing_in_age", _age_steps, lambda g, lo: _age_steps(g).min(), (2, 0)),
-    ("value_nondecreasing_in_service", _service_steps,
-     lambda g, lo: _service_steps(g).min(), (1, 1)),
-    ("relative_value_nonnegative", lambda g: g - g[0, 0], lambda g, lo: lo - g[0, 0], (1, 0)),
+    ("value_nondecreasing_in_age", lambda g: g[1:, :] - g[:-1, :], (2, 0)),
+    ("value_nondecreasing_in_service", lambda g: g[:, 1:] - g[:, :-1], (1, 1)),
+    ("relative_value_nonnegative", lambda g: g - g[0, 0], (1, 0), lambda g, lo: lo - g[0, 0]),
 )
 
 
@@ -416,10 +407,11 @@ def verify_structure(value_iterates: Iterable[np.ndarray], policy: Policy) -> St
         finite = math.isfinite(scale)  # false if any value is NaN or infinite
         # an infinite tolerance leaves only the non-finite differences failing
         tol = _STRUCTURE_REL_TOL * (1.0 + scale) if finite else math.inf
-        for name, diff_of, least_of, (da, dz) in _VALUE_CHECKS:
+        for name, diff_of, (da, dz), *least_of in _VALUE_CHECKS:
             if name in found:
                 continue
-            if finite and least_of(grid, lo) >= -tol:  # most iterates pass; skip the index search
+            least = least_of[0](grid, lo) if least_of else diff_of(grid).min()
+            if finite and least >= -tol:  # most iterates pass; skip the index search
                 continue
             arr = diff_of(grid)
             i, j = np.argwhere(~(np.isfinite(arr) & (arr >= -tol)))[0]
